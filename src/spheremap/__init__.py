@@ -3,14 +3,14 @@
 from .core import BuildParams, IterationReport, Portal, Segment, SphereMap, SphereNode
 from .errors import (BadMagicError, BudgetExceededError, ConfigError, ParseError,
                      PayloadError, TruncatedError)
-from .geometry import enclosing_sphere, intersection_radius, lens_volume
+from .geometry import enclosing_sphere, intersection_radius
 from .ltv import (LtvMap, LtvSegment, decode, encode, encoded_size, extract,
                   fit_box, misclassified_fraction, size_report)
 from .mission import (MissionResult, MissionTrace, build_spheremap, reveal,
                       run_mission, sweep_positions)
 from .planner import (ClearanceField, PlannerParams, PlanResult, astar_nodes,
-                      astar_sphere_graph, edge_traversable, evaluate_path,
-                      grid_astar, plan_cached, rrt_star, transition_cost)
+                      astar_sphere_graph, evaluate_path, grid_astar, plan_cached,
+                      rrt_star, transition_cost)
 from .smap_io import load_map, save_map
 from .spatial import NodeIndex, ObstacleIndex
 from .validate import check_all, check_clearance, check_structure

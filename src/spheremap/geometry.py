@@ -11,13 +11,16 @@ def intersection_radius(p1, r1: float, p2, r2: float) -> float:
     """Radius of the circle where two sphere surfaces intersect.
 
     Disjoint or externally tangent spheres give 0; when one sphere contains
-    the other the smaller radius is returned.
+    the other the smaller radius is returned. The larger radius goes first
+    in the formula, so swapping the two spheres gives the same bits.
     """
     d = float(np.linalg.norm(np.asarray(p1, dtype=float) - np.asarray(p2, dtype=float)))
+    if r1 < r2:
+        r1, r2 = r2, r1
     if d >= r1 + r2:
         return 0.0
-    if d <= abs(r1 - r2):
-        return min(r1, r2)
+    if d <= r1 - r2:
+        return r2
     val = 4.0 * d * d * r1 * r1 - (d * d - r2 * r2 + r1 * r1) ** 2
     if val <= 0.0:
         return 0.0
@@ -29,30 +32,24 @@ def intersection_radii(d: np.ndarray, r1, r2: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     r1 = np.broadcast_to(np.asarray(r1, dtype=float), d.shape)
     r2 = np.asarray(r2, dtype=float)
+    big, small = np.maximum(r1, r2), np.minimum(r1, r2)
     out = np.zeros(d.shape)
-    contained = d <= np.abs(r1 - r2)
-    out[contained] = np.minimum(r1, r2)[contained]
-    cross = ~contained & (d < r1 + r2)
+    contained = d <= big - small
+    out[contained] = small[contained]
+    cross = ~contained & (d < big + small)
     if np.any(cross):
-        dc, a, b = d[cross], r1[cross], r2[cross]
+        dc, a, b = d[cross], big[cross], small[cross]
         val = 4.0 * dc * dc * a * a - (dc * dc - b * b + a * a) ** 2
         out[cross] = np.sqrt(np.maximum(val, 0.0)) / (2.0 * dc)
     return out
 
 
-def sphere_volume(r: float) -> float:
-    return 4.0 / 3.0 * math.pi * r ** 3
-
-
-def lens_volume(r1: float, r2: float, d: float) -> float:
-    """Volume of the intersection of two spheres at center distance d."""
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        return sphere_volume(min(r1, r2))
-    return (math.pi * (r1 + r2 - d) ** 2
-            * (d * d + 2.0 * d * (r1 + r2) - 3.0 * (r1 - r2) ** 2)
-            / (12.0 * d))
+def _lens_fraction(r, R, d):
+    """Share of a radius-r sphere's volume inside a radius-R sphere whose
+    center is d away, for partially overlapping pairs (elementwise)."""
+    vol = (np.pi * (r + R - d) ** 2
+           * (d * d + 2.0 * d * (r + R) - 3.0 * (r - R) ** 2) / (12.0 * d))
+    return vol / (4.0 / 3.0 * np.pi * r ** 3)
 
 
 def covered_fractions(r: float, d: np.ndarray, r_other: np.ndarray) -> np.ndarray:
@@ -67,11 +64,7 @@ def covered_fractions(r: float, d: np.ndarray, r_other: np.ndarray) -> np.ndarra
     frac[contained] = 1.0
     overlap = ~contained & (d < r + r_other) & (d > np.abs(r - r_other))
     if np.any(overlap):
-        dc, rb = d[overlap], r_other[overlap]
-        vol = (np.pi * (r + rb - dc) ** 2
-               * (dc * dc + 2.0 * dc * (r + rb) - 3.0 * (r - rb) ** 2)
-               / (12.0 * dc))
-        frac[overlap] = vol / sphere_volume(r)
+        frac[overlap] = _lens_fraction(r, r_other[overlap], d[overlap])
     # d <= |r - r_other| with r_other < r: the other sphere sits inside this
     # one, covering (r_other / r)^3 of it.
     inner = (d <= np.abs(r - r_other)) & (r_other < r)
@@ -93,12 +86,8 @@ def coverage_matrix(r_small: np.ndarray, d: np.ndarray, r_big: np.ndarray) -> np
     frac[d <= R - r] = 1.0
     overlap = np.nonzero((frac == 0.0) & (d < r + R) & (d > np.abs(r - R)))
     if len(overlap[0]):
-        dd = d[overlap]
-        rr = np.broadcast_to(r, d.shape)[overlap]
-        RR = np.broadcast_to(R, d.shape)[overlap]
-        vol = (np.pi * (rr + RR - dd) ** 2
-               * (dd * dd + 2.0 * dd * (rr + RR) - 3.0 * (rr - RR) ** 2) / (12.0 * dd))
-        frac[overlap] = vol / (4.0 / 3.0 * np.pi * rr ** 3)
+        frac[overlap] = _lens_fraction(np.broadcast_to(r, d.shape)[overlap],
+                                       np.broadcast_to(R, d.shape)[overlap], d[overlap])
     inner = np.nonzero((d <= np.abs(r - R)) & (R < r))
     if len(inner[0]):
         frac[inner] = (np.broadcast_to(R, d.shape)[inner]

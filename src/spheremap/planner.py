@@ -1,10 +1,21 @@
 """Safety-aware path planning.
 
 Edge costs follow the discretized criterion: a step contributes its length
-plus ``xi * max(0, d_max - mean clearance)^2 * length`` of risk. Planners over
-the sphere map (full graph and cached portal planning) and two occupancy-grid
-baselines (A* in safety / length-only mode, RRT*) all share this cost model,
-the Euclidean-distance heuristic, and the clearance floor ``r_min``.
+plus ``xi * max(0, d_max - mean clearance)^2 * length`` of risk. That risk
+expression is written once, in ``_risk``; ``transition_cost``, the per-map
+edge-cost table ``_graph_costs`` and RRT* all call it (grid A* inlines a copy
+in its per-neighbour loop). Planners over the sphere map (full graph and
+cached portal planning) and two occupancy-grid baselines (A* in safety /
+length-only mode, RRT*) all share this cost model, the Euclidean-distance
+heuristic, and the clearance floor ``r_min``.
+
+Every sphere-graph search runs on one best-first kernel, ``_best_first``,
+over adjacency lists of (neighbour, weight): A* over the whole graph, A*
+inside one segment for the path caches, Dijkstra from a query endpoint
+through its segment, and Dijkstra over the portal meta-graph, the portal
+abstraction of HPA* (Botea, Mueller & Schaeffer 2004). Sphere-graph weights
+come from ``_graph_costs``; meta-graph weights are portal crossings and
+cached portal-to-portal path costs.
 
 All planners are pure functions over read-only inputs; run them between map
 updates or against a snapshot.
@@ -65,16 +76,17 @@ class PlanResult:
                 f"{self.risk:.6f} {self.cost:.6f} {pts}")
 
 
+def _risk(dl, r_sum, params: PlannerParams):
+    """Risk of a step of length ``dl`` whose end clearances sum to ``r_sum``:
+    ``xi * max(0, d_max - mean clearance)^2 * dl``, elementwise on arrays."""
+    m = np.maximum(0.0, params.d_max - r_sum / 2.0)
+    return params.xi * m * m * dl
+
+
 def transition_cost(p1, r1: float, p2, r2: float, params: PlannerParams) -> tuple[float, float]:
     """(length, risk) increment of a straight step between two cleared points."""
     dl = float(np.linalg.norm(np.asarray(p1, dtype=float) - np.asarray(p2, dtype=float)))
-    m = max(0.0, params.d_max - (r1 + r2) / 2.0)
-    return dl, params.xi * m * m * dl
-
-
-def edge_traversable(p1, r1: float, p2, r2: float, r_min: float) -> bool:
-    """Sphere-graph edge rule: the intersection circle must clear r_min."""
-    return geometry.intersection_radius(p1, r1, p2, r2) > r_min
+    return dl, float(_risk(dl, r1 + r2, params))
 
 
 def _chain_cost(waypoints, clearances, params: PlannerParams) -> tuple[float, float]:
@@ -111,15 +123,13 @@ def _clearance_fn(source):
 # sphere-graph planning
 # ----------------------------------------------------------------------
 
-def _attach(smap, p, restrict=None, segmented_only=False):
+def _attach(smap, p, segmented_only=False):
     """Containing sphere with the largest clearance margin r - |p - center|."""
     p = np.asarray(p, dtype=float)
     best = None
     best_margin = -math.inf
     for nid in smap.node_index.within_radius(p, smap.params.r_cap):
         node = smap.nodes[nid]
-        if restrict is not None and node.segment != restrict:
-            continue
         if segmented_only and node.segment is None:
             continue
         margin = node.r - float(np.linalg.norm(p - node.p))
@@ -128,188 +138,124 @@ def _attach(smap, p, restrict=None, segmented_only=False):
     return best, best_margin
 
 
+def _step_cost(p1, r1, p2, r2, params: PlannerParams) -> float:
+    dl, dz = transition_cost(p1, r1, p2, r2, params)
+    return dl + dz
+
+
 def _graph_costs(smap, params: PlannerParams) -> dict[int, list[tuple[int, float]]]:
     """Per-node neighbor/cost lists; cached on the map until it mutates."""
     key = (smap.mutation_token, params.xi, params.d_max, params.r_min)
     cached = getattr(smap, "_plan_ctx", None)
     if cached is not None and cached[0] == key:
         return cached[1]
-    edges = np.array([(a, b) for a, b in smap.edges()], dtype=np.int64).reshape(-1, 2)
+    edges = list(smap.edges())
     adj: dict[int, list[tuple[int, float]]] = {nid: [] for nid in smap.nodes}
-    if len(edges):
-        pa = np.array([smap.nodes[a].p for a in edges[:, 0]])
-        pb = np.array([smap.nodes[b].p for b in edges[:, 1]])
-        ra = np.array([smap.nodes[a].r for a in edges[:, 0]])
-        rb = np.array([smap.nodes[b].r for b in edges[:, 1]])
-        dl = np.linalg.norm(pa - pb, axis=1)
-        m = np.maximum(0.0, params.d_max - (ra + rb) / 2.0)
-        w = dl + params.xi * m * m * dl
-        for (a, b), wv in zip(edges, w):
-            wf = float(wv)
-            adj[int(a)].append((int(b), wf))
-            adj[int(b)].append((int(a), wf))
+    if edges:
+        na = [smap.nodes[a] for a, _ in edges]
+        nb = [smap.nodes[b] for _, b in edges]
+        dl = np.linalg.norm(np.array([n.p for n in na]) - np.array([n.p for n in nb]), axis=1)
+        r_sum = np.array([n.r for n in na]) + np.array([n.r for n in nb])
+        w = dl + _risk(dl, r_sum, params)
+        for (a, b), wf in zip(edges, w.tolist()):
+            adj[a].append((b, wf))
+            adj[b].append((a, wf))
     smap._plan_ctx = (key, adj)
     return adj
+
+
+def _best_first(adj, sources, goal=None, heuristic=None, members=None):
+    """The one search kernel: best-first over ``adj[u] = [(v, weight), ...]``.
+
+    ``sources`` maps start nodes to their initial costs. Nodes pop in
+    (g + h, h, node id) order, so with no ``heuristic`` this is Dijkstra and
+    with an admissible one it is A*. Only nodes of ``members`` are entered
+    when it is given. The search stops when ``goal`` is settled and returns
+    None if it never is; without a goal it settles everything reachable.
+    Returns (g, came): the cost of and parent link to each node reached.
+    """
+    g = dict(sources)
+    came: dict[int, int] = {}
+    closed: set[int] = set()
+    heap = []
+    for u, gu in sources.items():
+        h = heuristic(u) if heuristic is not None else 0.0
+        heap.append((gu + h, h, u))
+    heapq.heapify(heap)
+    while heap:
+        _, _, u = heapq.heappop(heap)
+        if u in closed:
+            continue
+        closed.add(u)
+        if u == goal:
+            return g, came
+        gu = g[u]
+        for v, w in adj[u]:
+            if v in closed or (members is not None and v not in members):
+                continue
+            alt = gu + w
+            if alt < g.get(v, math.inf):
+                g[v] = alt
+                came[v] = u
+                h = heuristic(v) if heuristic is not None else 0.0
+                heapq.heappush(heap, (alt + h, h, v))
+    return None if goal is not None else (g, came)
+
+
+def _unwind(came, target) -> list:
+    """Node path from the search source to ``target`` along parent links."""
+    path = [target]
+    while path[-1] in came:
+        path.append(came[path[-1]])
+    path.reverse()
+    return path
+
+
+def _distance_to(nodes, p):
+    """A* heuristic: straight-line distance from a node's center to p."""
+    return lambda v: float(np.linalg.norm(nodes[v].p - p))
 
 
 def astar_nodes(smap, start_id: int, goal_id: int, params: PlannerParams,
                 restrict=None) -> tuple[list[int], float] | None:
     """Optimal node-id path between two sphere nodes (optionally one segment)."""
-    if start_id == goal_id:
-        return [start_id], 0.0
-    nodes = smap.nodes
-    goal_p = nodes[goal_id].p
-    g_score = {start_id: 0.0}
-    came: dict[int, int] = {}
-    closed: set[int] = set()
-    h0 = float(np.linalg.norm(nodes[start_id].p - goal_p))
-    heap = [(h0, h0, start_id)]
     members = None if restrict is None else smap.segments[restrict].members
-    while heap:
-        _, _, u = heapq.heappop(heap)
-        if u in closed:
-            continue
-        closed.add(u)
-        if u == goal_id:
-            path = [u]
-            while path[-1] != start_id:
-                path.append(came[path[-1]])
-            path.reverse()
-            return path, g_score[u]
-        nu = nodes[u]
-        gu = g_score[u]
-        for v in smap.adj[u]:
-            if v in closed or (members is not None and v not in members):
-                continue
-            nv = nodes[v]
-            dl, dz = transition_cost(nu.p, nu.r, nv.p, nv.r, params)
-            alt = gu + dl + dz
-            if alt < g_score.get(v, math.inf):
-                g_score[v] = alt
-                came[v] = u
-                hv = float(np.linalg.norm(nv.p - goal_p))
-                heapq.heappush(heap, (alt + hv, hv, v))
-    return None
+    found = _best_first(_graph_costs(smap, params), {start_id: 0.0}, goal_id,
+                        _distance_to(smap.nodes, smap.nodes[goal_id].p), members)
+    if found is None:
+        return None
+    return _unwind(found[1], goal_id), found[0][goal_id]
 
 
 def _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
-                          mode, t0, params, clearance_at=None):
+                          mode, t0, params):
     nodes = smap.nodes
     waypoints = np.vstack([start] + [nodes[i].p for i in node_path] + [goal])
     clearances = np.array([s_margin] + [nodes[i].r for i in node_path] + [g_margin])
-    if clearance_at is not None:
-        clearances[0] = clearance_at(start)
-        clearances[-1] = clearance_at(goal)
     length, risk = _chain_cost(waypoints, clearances, params)
     return PlanResult(waypoints, clearances, length, risk, mode,
                       planning_time=time.perf_counter() - t0)
 
 
-def astar_sphere_graph(smap, start, goal, params: PlannerParams,
-                       restrict=None, clearance_at=None) -> PlanResult | None:
-    """A* over the whole sphere graph (or one segment when ``restrict`` is set)."""
+def astar_sphere_graph(smap, start, goal, params: PlannerParams) -> PlanResult | None:
+    """A* over the whole sphere graph."""
     t0 = time.perf_counter()
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    s_id, s_margin = _attach(smap, start, restrict)
-    g_id, g_margin = _attach(smap, goal, restrict)
+    s_id, s_margin = _attach(smap, start)
+    g_id, g_margin = _attach(smap, goal)
     if s_id is None or g_id is None:
         return None
     if np.array_equal(start, goal):
-        cl = clearance_at(start) if clearance_at is not None else s_margin
-        return PlanResult(start.reshape(1, 3), np.array([cl]), 0.0, 0.0,
+        return PlanResult(start.reshape(1, 3), np.array([s_margin]), 0.0, 0.0,
                           "full-graph", planning_time=time.perf_counter() - t0)
-    if s_id == g_id:
-        return _finish_sphere_result(smap, [s_id], start, goal, s_margin, g_margin,
-                                     "full-graph", t0, params, clearance_at)
-
     nodes = smap.nodes
-    members = None if restrict is None else smap.segments[restrict].members
-    adj = _graph_costs(smap, params) if restrict is None else None
-
-    dl, dz = transition_cost(start, s_margin, nodes[s_id].p, nodes[s_id].r, params)
-    g_score = {s_id: dl + dz}
-    came: dict[int, int] = {}
-    closed: set[int] = set()
-    h0 = float(np.linalg.norm(nodes[s_id].p - goal))
-    heap = [(g_score[s_id] + h0, h0, s_id)]
-    found = False
-    while heap:
-        _, _, u = heapq.heappop(heap)
-        if u in closed:
-            continue
-        closed.add(u)
-        if u == g_id:
-            found = True
-            break
-        gu = g_score[u]
-        if adj is not None:
-            for v, w in adj[u]:
-                if v in closed:
-                    continue
-                alt = gu + w
-                if alt < g_score.get(v, math.inf):
-                    g_score[v] = alt
-                    came[v] = u
-                    hv = float(np.linalg.norm(nodes[v].p - goal))
-                    heapq.heappush(heap, (alt + hv, hv, v))
-        else:
-            nu = nodes[u]
-            for v in smap.adj[u]:
-                if v in closed or v not in members:
-                    continue
-                nv = nodes[v]
-                dl, dz = transition_cost(nu.p, nu.r, nv.p, nv.r, params)
-                alt = gu + dl + dz
-                if alt < g_score.get(v, math.inf):
-                    g_score[v] = alt
-                    came[v] = u
-                    hv = float(np.linalg.norm(nv.p - goal))
-                    heapq.heappush(heap, (alt + hv, hv, v))
-    if not found:
+    source = {s_id: _step_cost(start, s_margin, nodes[s_id].p, nodes[s_id].r, params)}
+    found = _best_first(_graph_costs(smap, params), source, g_id, _distance_to(nodes, goal))
+    if found is None:
         return None
-    path = [g_id]
-    while path[-1] != s_id:
-        path.append(came[path[-1]])
-    path.reverse()
-    return _finish_sphere_result(smap, path, start, goal, s_margin, g_margin,
-                                 "full-graph", t0, params, clearance_at)
-
-
-def _segment_dijkstra(smap, point, margin, attach_id, label, params):
-    """Costs and parent links from an off-graph point to all nodes of one segment."""
-    nodes = smap.nodes
-    members = smap.segments[label].members
-    dl, dz = transition_cost(point, margin, nodes[attach_id].p, nodes[attach_id].r, params)
-    dist = {attach_id: dl + dz}
-    came: dict[int, int] = {}
-    heap = [(dist[attach_id], attach_id)]
-    done: set[int] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        nu = nodes[u]
-        for v in smap.adj[u]:
-            if v in done or v not in members:
-                continue
-            nv = nodes[v]
-            dl, dz = transition_cost(nu.p, nu.r, nv.p, nv.r, params)
-            alt = d + dl + dz
-            if alt < dist.get(v, math.inf):
-                dist[v] = alt
-                came[v] = u
-                heapq.heappush(heap, (alt, v))
-    return dist, came
-
-
-def _unwind(came, attach_id, target):
-    path = [target]
-    while path[-1] != attach_id:
-        path.append(came[path[-1]])
-    path.reverse()
-    return path
+    return _finish_sphere_result(smap, _unwind(found[1], g_id), start, goal,
+                                 s_margin, g_margin, "full-graph", t0, params)
 
 
 def _meta_static(smap, params: PlannerParams):
@@ -320,36 +266,29 @@ def _meta_static(smap, params: PlannerParams):
     cached = getattr(smap, "_meta_ctx", None)
     if cached is not None and cached[0] == key:
         return cached[1]
-    meta: dict[int, list[tuple[object, float, tuple]]] = {}
-
-    def meta_node(nid):
-        if nid not in meta:
-            meta[nid] = []
-        return nid
-
-    for pair, portal in smap.portals.items():
-        a, b = meta_node(portal.a), meta_node(portal.b)
+    meta: dict[int, list[tuple[int, float]]] = {}
+    for portal in smap.portals.values():
         na, nb = smap.nodes[portal.a], smap.nodes[portal.b]
-        dl, dz = transition_cost(na.p, na.r, nb.p, nb.r, params)
-        meta[a].append((b, dl + dz, ("cross", portal.a, portal.b)))
-        meta[b].append((a, dl + dz, ("cross", portal.b, portal.a)))
-    for label, seg in smap.segments.items():
-        for (u, v), (path, cost) in seg.path_cache.items():
-            meta_node(u)
-            meta_node(v)
-            meta[u].append((v, cost, ("cached", label, (u, v), False)))
-            meta[v].append((u, cost, ("cached", label, (u, v), True)))
+        w = _step_cost(na.p, na.r, nb.p, nb.r, params)
+        meta.setdefault(portal.a, []).append((portal.b, w))
+        meta.setdefault(portal.b, []).append((portal.a, w))
+    for seg in smap.segments.values():
+        for (u, v), (_, cost) in seg.path_cache.items():
+            meta.setdefault(u, []).append((v, cost))
+            meta.setdefault(v, []).append((u, cost))
     smap._meta_ctx = (key, meta)
     return meta
 
 
-def plan_cached(smap, start, goal, params: PlannerParams,
-                clearance_at=None) -> PlanResult | None:
+def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
     """Long-distance planning through portals and cached intra-segment paths.
 
-    Searches a small meta-graph over the two endpoints and all portal
-    endpoints; segment interiors are crossed via the precomputed portal-pair
-    paths, so only the two endpoint attachments need fresh graph search.
+    Searches a small meta-graph over the two endpoints (ids -1 and -2) and
+    all portal endpoints; segment interiors are crossed via the precomputed
+    portal-pair paths, so only the two endpoint attachments need fresh graph
+    search. The query adds a row from the start to its segment's portals
+    and an edge from each of the goal segment's portals to the goal. A
+    same-segment query also considers the direct in-segment route.
     """
     t0 = time.perf_counter()
     start = np.asarray(start, dtype=float)
@@ -359,109 +298,51 @@ def plan_cached(smap, start, goal, params: PlannerParams,
     if s_id is None or g_id is None:
         return None
     if np.array_equal(start, goal):
-        cl = clearance_at(start) if clearance_at is not None else s_margin
-        return PlanResult(start.reshape(1, 3), np.array([cl]), 0.0, 0.0,
+        return PlanResult(start.reshape(1, 3), np.array([s_margin]), 0.0, 0.0,
                           "cached", planning_time=time.perf_counter() - t0)
-    s_label = smap.nodes[s_id].segment
-    g_label = smap.nodes[g_id].segment
-
-    s_dist, s_came = _segment_dijkstra(smap, start, s_margin, s_id, s_label, params)
-    g_dist, g_came = _segment_dijkstra(smap, goal, g_margin, g_id, g_label, params)
+    nodes = smap.nodes
+    s_label, g_label = nodes[s_id].segment, nodes[g_id].segment
+    adj = _graph_costs(smap, params)
+    s_dist, s_came = _best_first(
+        adj, {s_id: _step_cost(start, s_margin, nodes[s_id].p, nodes[s_id].r, params)},
+        members=smap.segments[s_label].members)
+    g_dist, g_came = _best_first(
+        adj, {g_id: _step_cost(goal, g_margin, nodes[g_id].p, nodes[g_id].r, params)},
+        members=smap.segments[g_label].members)
 
     # Direct same-segment route, kept as a candidate alongside the meta-path.
     direct = None
     if s_label == g_label and g_id in s_dist:
-        dl, dz = transition_cost(smap.nodes[g_id].p, smap.nodes[g_id].r, goal, g_margin, params)
-        direct = (s_dist[g_id] + dl + dz, _unwind(s_came, s_id, g_id))
+        dl, dz = transition_cost(nodes[g_id].p, nodes[g_id].r, goal, g_margin, params)
+        direct = s_dist[g_id] + dl + dz
 
-    static = _meta_static(smap, params)
-    extra: dict[object, list[tuple[object, float, tuple]]] = {"S": [], "G": []}
-    for e in smap.segment_portal_nodes(s_label):
-        if e in s_dist:
-            extra["S"].append((e, s_dist[e], ("start", e)))
+    meta = dict(_meta_static(smap, params))
+    meta[-1] = [(e, s_dist[e]) for e in smap.segment_portal_nodes(s_label) if e in s_dist]
     for e in smap.segment_portal_nodes(g_label):
         if e in g_dist:
-            ne = smap.nodes[e]
-            dl, dz = transition_cost(ne.p, ne.r, goal, g_margin, params)
-            extra.setdefault(e, []).append(("G", g_dist[e] + dl + dz, ("goal", e)))
-
-    meta_cost, meta_steps = _meta_dijkstra_overlay(static, extra)
-    if meta_cost is None and direct is None:
+            # g_dist[e] already counts the goal -> g_id step, so this weight
+            # overstates the route by the e -> goal step.
+            dl, dz = transition_cost(nodes[e].p, nodes[e].r, goal, g_margin, params)
+            meta[e] = meta[e] + [(-2, g_dist[e] + dl + dz)]
+    found = _best_first(meta, {-1: 0.0}, goal=-2)
+    if found is None and direct is None:
         return None
 
-    if direct is not None and (meta_cost is None or direct[0] <= meta_cost):
-        node_path = direct[1]
-        dl, dz = transition_cost(smap.nodes[g_id].p, smap.nodes[g_id].r, goal, g_margin, params)
+    if direct is not None and (found is None or direct <= found[0][-2]):
+        node_path = _unwind(s_came, g_id)
     else:
-        node_path = []
-        for kind, *info in meta_steps:
-            if kind == "start":
-                node_path.extend(_unwind(s_came, s_id, info[0]))
-            elif kind == "cross":
-                node_path.append(info[1])
-            elif kind == "cached":
-                label, pair, reverse = info
-                seq = list(smap.segments[label].path_cache[pair][0])
-                if reverse:
-                    seq.reverse()
-                node_path.extend(seq[1:] if node_path and seq[0] == node_path[-1] else seq)
+        hops = _unwind(found[1], -2)[1:-1]
+        node_path = _unwind(s_came, hops[0])
+        for u, v in zip(hops, hops[1:]):
+            if nodes[u].segment != nodes[v].segment:
+                node_path.append(v)  # portal crossing
                 continue
-            elif kind == "goal":
-                tail = _unwind(g_came, g_id, info[0])
-                tail.reverse()
-                node_path.extend(tail[1:] if node_path and tail[0] == node_path[-1] else tail)
-        node_path = _dedupe(node_path)
-    return _finish_plan_cached(smap, node_path, start, goal, s_margin, g_margin,
-                               t0, params, clearance_at)
-
-
-def _dedupe(seq):
-    out = [seq[0]]
-    for x in seq[1:]:
-        if x != out[-1]:
-            out.append(x)
-    return out
-
-
-def _finish_plan_cached(smap, node_path, start, goal, s_margin, g_margin,
-                        t0, params, clearance_at):
-    res = _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
-                                "cached", t0, params, clearance_at)
-    return res
-
-
-def _meta_dijkstra_overlay(static, extra):
-    """Dijkstra over the static meta-graph plus per-query endpoint edges."""
-    dist = {"S": 0.0}
-    came = {}
-    heap = [(0.0, 0, "S")]
-    done = set()
-    order = 0
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == "G":
-            steps = []
-            cur = "G"
-            while cur != "S":
-                prev, step = came[cur]
-                steps.append(step)
-                cur = prev
-            steps.reverse()
-            return d, steps
-        for edges in (static.get(u, ()), extra.get(u, ())):
-            for v, w, step in edges:
-                if v in done:
-                    continue
-                alt = d + w
-                if alt < dist.get(v, math.inf):
-                    dist[v] = alt
-                    came[v] = (u, step)
-                    order += 1
-                    heapq.heappush(heap, (alt, order, v))
-    return None, None
+            cache = smap.segments[nodes[u].segment].path_cache
+            seq = cache[(u, v)][0] if (u, v) in cache else cache[(v, u)][0][::-1]
+            node_path.extend(seq[1:])
+        node_path.extend(_unwind(g_came, hops[-1])[-2::-1])
+    return _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
+                                 "cached", t0, params)
 
 
 # ----------------------------------------------------------------------
@@ -602,6 +483,7 @@ def grid_astar(grid: OccupancyGrid, start, goal, params: PlannerParams,
             if not trav_flat[v] or closed[v]:
                 continue
             if safety:
+                # _risk inlined: a call per neighbour would dominate this loop.
                 m = d_max - (cu + clear_flat[v]) * 0.5
                 w = dl + xi * m * m * dl if m > 0.0 else dl
             else:
@@ -691,8 +573,7 @@ def rrt_star(grid: OccupancyGrid, start, goal, params: PlannerParams,
 
     def edge_cost(i, q, cq):
         dl = float(np.linalg.norm(pos[i] - q))
-        m = max(0.0, params.d_max - (clear[i] + cq) / 2.0)
-        return dl + params.xi * m * m * dl
+        return dl + _risk(dl, clear[i] + cq, params)
 
     while True:
         iters += 1

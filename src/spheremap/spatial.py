@@ -115,9 +115,6 @@ class NodeIndex:
     def set_aux(self, node_id: int, value: float) -> None:
         self._aux[self._slot[node_id]] = value
 
-    def position(self, node_id: int) -> np.ndarray:
-        return self._pos[self._slot[node_id]].copy()
-
     def _rows_in_box(self, lo_cell, hi_cell) -> np.ndarray:
         rows: list[int] = []
         for cx in range(lo_cell[0], hi_cell[0] + 1):
@@ -156,43 +153,3 @@ class NodeIndex:
         """Ids within ``radius`` (inclusive) of q, sorted by (distance, id)."""
         ids, _, _, _ = self.query(q, radius)
         return [int(i) for i in ids]
-
-    def nearest_k(self, q, k: int) -> list[int]:
-        """The k nearest ids, sorted by (distance, id); fewer if the index is small."""
-        if k <= 0 or not self._slot:
-            return []
-        q = np.asarray(q, dtype=float)
-        center = self._cell_of(q)
-        max_ring = max(max(abs(c[0] - center[0]), abs(c[1] - center[1]),
-                           abs(c[2] - center[2])) for c in self._cells)
-        want = min(k, len(self._slot))
-        best: list[tuple[float, int]] = []
-        for ring in range(max_ring + 1):
-            # Any point in ring L sits at least (L-1) cells away from q.
-            if ring > 1 and len(best) >= want:
-                floor = (ring - 1) * self.cell_size
-                if floor * floor > best[want - 1][0]:
-                    break
-            rows = [r for cell in self._ring_cells(center, ring)
-                    for r in self._cells.get(cell, ())]
-            if rows:
-                rows = np.asarray(rows, dtype=np.int64)
-                delta = self._pos[rows] - q
-                d2 = np.einsum("ij,ij->i", delta, delta)
-                best.extend(zip(d2.tolist(), self._ids[rows].tolist()))
-                best.sort()
-                del best[4 * k:]
-        return [nid for _, nid in best[:k]]
-
-    @staticmethod
-    def _ring_cells(center, ring):
-        cx, cy, cz = center
-        if ring == 0:
-            yield (cx, cy, cz)
-            return
-        r = ring
-        for dx in range(-r, r + 1):
-            for dy in range(-r, r + 1):
-                for dz in range(-r, r + 1):
-                    if max(abs(dx), abs(dy), abs(dz)) == r:
-                        yield (cx + dx, cy + dy, cz + dz)

@@ -143,3 +143,28 @@ def ucs_optimal(smap, start, goal, params):
         length += dl
         risk += dz
     return length, risk, length + risk, path
+
+
+def ucs_node_cost(smap, a, b, params):
+    """Optimal cost between two sphere nodes by uniform-cost search, or None."""
+    nodes = smap.nodes
+    dist = {a: 0.0}
+    heap = [(0.0, a)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u == b:
+            return d
+        for v in smap.adj[u]:
+            if v in done:
+                continue
+            dl, dz = _step(nodes[u].p, nodes[u].r, nodes[v].p, nodes[v].r,
+                           params.xi, params.d_max)
+            alt = d + dl + dz
+            if alt < dist.get(v, math.inf):
+                dist[v] = alt
+                heapq.heappush(heap, (alt, v))
+    return None

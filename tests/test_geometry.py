@@ -5,7 +5,7 @@ import pytest
 
 from spheremap.geometry import (coverage_matrix, covered_fractions,
                                 enclosing_sphere, intersection_radii,
-                                intersection_radius, lens_volume, sphere_volume)
+                                intersection_radius)
 
 
 class TestIntersectionRadius:
@@ -42,6 +42,20 @@ class TestIntersectionRadius:
             scalar = intersection_radius((0, 0, 0), r1, (d[i], 0, 0), r2[i])
             assert got[i] == pytest.approx(scalar, abs=1e-12)
 
+    def test_symmetric_and_vectorized_bit_exact(self):
+        # portal selection and the validator evaluate pairs in either order
+        rng = np.random.default_rng(23)
+        r1 = rng.uniform(0.8, 4.0, 2000)
+        r2 = rng.uniform(0.8, 4.0, 2000)
+        d = rng.uniform(0.0, 8.0, 2000)
+        fwd = intersection_radii(d, r1, r2)
+        np.testing.assert_array_equal(fwd, intersection_radii(d, r2, r1))
+        for i in range(len(d)):
+            p2 = (d[i], 0.0, 0.0)
+            a = intersection_radius((0, 0, 0), r1[i], p2, r2[i])
+            assert a == intersection_radius(p2, r2[i], (0, 0, 0), r1[i])
+            assert a == fwd[i]
+
 
 def monte_carlo_lens(r1, r2, d, n=200_000, seed=0):
     """Fraction of sphere-1 volume inside sphere 2, by rejection sampling."""
@@ -56,16 +70,20 @@ def monte_carlo_lens(r1, r2, d, n=200_000, seed=0):
 
 
 class TestLensVolume:
+    """The lens volume, seen through the fraction of sphere 1 it covers."""
+
     def test_disjoint(self):
-        assert lens_volume(1.0, 1.0, 3.0) == 0.0
+        assert covered_fractions(1.0, np.array([3.0]), np.array([1.0]))[0] == 0.0
 
     def test_containment(self):
-        assert lens_volume(2.0, 1.0, 0.5) == pytest.approx(sphere_volume(1.0))
+        # a radius-1 sphere inside a radius-2 one covers (1/2)^3 of it
+        frac = covered_fractions(2.0, np.array([0.5]), np.array([1.0]))[0]
+        assert frac == pytest.approx(1.0 / 8.0)
 
     @pytest.mark.parametrize("r1,r2,d", [(1.0, 1.5, 1.2), (1.0, 1.0, 0.5),
                                          (0.8, 2.0, 1.5)])
     def test_against_monte_carlo(self, r1, r2, d):
-        frac = lens_volume(r1, r2, d) / sphere_volume(r1)
+        frac = covered_fractions(r1, np.array([d]), np.array([r2]))[0]
         mc = monte_carlo_lens(r1, r2, d, n=400_000, seed=17)
         assert frac == pytest.approx(mc, abs=5e-3)
 

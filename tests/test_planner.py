@@ -6,13 +6,13 @@ import pytest
 
 from spheremap import (FREE, OCCUPIED, BudgetExceededError, BuildParams,
                        ClearanceField, ObstacleIndex, PlannerParams, Portal,
-                       Segment, SphereMap, astar_sphere_graph, downsample,
-                       edge_traversable, evaluate_path, grid_astar, plan_cached,
-                       rrt_star, transition_cost)
-from spheremap.planner import grid_obstacles
+                       Segment, SphereMap, astar_nodes, astar_sphere_graph,
+                       downsample, evaluate_path, grid_astar, plan_cached, rrt_star,
+                       transition_cost)
+from spheremap.planner import _chain_cost, grid_obstacles
 
 from conftest import box_room, two_rooms_with_corridor, wall_gap_room
-from oracles import random_sphere_map, ucs_optimal
+from oracles import random_sphere_map, ucs_node_cost, ucs_optimal
 
 PARAMS = PlannerParams(xi=7.0, d_max=2.0, r_min=0.8)
 
@@ -39,6 +39,15 @@ class TestTransitionCost:
             PlannerParams(xi=-1.0)
         with pytest.raises(ValueError):
             PlannerParams(d_max=0.5, r_min=0.8)
+
+
+def edge_traversable(p1, r1, p2, r2, r_min):
+    """Whether a sphere map with this r_min joins the two spheres by an edge."""
+    smap = SphereMap(BuildParams(r_cap=8.0, r_min=r_min), seed=0)
+    a = smap._add_node(np.asarray(p1, dtype=float), r1)
+    b = smap._add_node(np.asarray(p2, dtype=float), r2)
+    smap._recompute_edges(b)
+    return a in smap.adj[b]
 
 
 class TestEdgeTraversable:
@@ -154,6 +163,29 @@ class TestAstarSphereGraph:
             assert res.risk == 0.0
 
 
+class TestAstarNodes:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cost_matches_uniform_cost_oracle(self, seed):
+        smap, _, _ = random_sphere_map(seed)
+        ids = sorted(smap.nodes)
+        for a, b in [(ids[0], ids[-1]), (ids[1], ids[len(ids) // 2]), (ids[2], ids[2])]:
+            found = astar_nodes(smap, a, b, PARAMS)
+            oracle = ucs_node_cost(smap, a, b, PARAMS)
+            if found is None:
+                assert oracle is None
+                continue
+            path, cost = found
+            assert (path[0], path[-1]) == (a, b)
+            assert all(v in smap.adj[u] for u, v in zip(path, path[1:]))
+            assert cost == pytest.approx(oracle, rel=1e-12)
+
+
+def node_ids(smap, waypoints):
+    """Sphere ids of a plan's interior waypoints."""
+    by_pos = {tuple(node.p): nid for nid, node in smap.nodes.items()}
+    return [by_pos[tuple(p)] for p in waypoints[1:-1]]
+
+
 class TestPlanCached:
     def make_two_segment_map(self):
         chain = [((0.0, 0, 0), 1.6), ((2.0, 0, 0), 1.6),
@@ -188,14 +220,47 @@ class TestPlanCached:
             Z += dz
         assert res.cost == pytest.approx(L + Z, rel=1e-12)
 
-    def test_same_segment_equals_restricted_astar(self):
+    def test_same_segment_equals_full_graph_astar(self):
+        # both endpoints in segment 0; the full-graph route stays inside it
         smap = self.make_two_segment_map()
         start = np.array([0.0, 0.2, 0.0])
         goal = np.array([2.0, -0.2, 0.0])
         cached = plan_cached(smap, start, goal, PARAMS)
-        direct = astar_sphere_graph(smap, start, goal, PARAMS, restrict=0)
+        direct = astar_sphere_graph(smap, start, goal, PARAMS)
         assert cached is not None and direct is not None
+        np.testing.assert_array_equal(cached.waypoints, direct.waypoints)
         assert cached.cost == pytest.approx(direct.cost, rel=1e-12)
+
+    def test_crosses_cached_path_from_higher_to_lower_endpoint(self):
+        # segments 0 | 1 | 2 along x; segment 1's cache holds (2, 4) and the
+        # query walks it backwards, 4 -> 3 -> 2
+        chain = [((2.0 * i, 0, 0), 1.6) for i in range(7)]
+        segments = {0: [0, 1], 1: [2, 3, 4], 2: [5, 6]}
+        portals = {(0, 1): (1, 2), (1, 2): (4, 5)}
+        smap, ids = hand_map(chain, segments, portals)
+        for label in segments:
+            smap._rebuild_cache(label)
+        assert list(smap.segments[1].path_cache) == [(2, 4)]
+        start = np.array([12.0, 0.3, 0.0])
+        goal = np.array([0.0, -0.3, 0.0])
+        res = plan_cached(smap, start, goal, PARAMS)
+        assert res is not None
+        path = node_ids(smap, res.waypoints)
+        assert path == [6, 5, 4, 3, 2, 1, 0]
+        assert all(v in smap.adj[u] for u, v in zip(path, path[1:]))
+        assert res.cost == sum(_chain_cost(res.waypoints, res.clearances, PARAMS))
+
+    def test_same_segment_direct_route_beats_meta_route(self):
+        # both endpoints attach to node 0; the meta route out to portal
+        # node 1 and back exists but costs more than staying at node 0
+        smap = self.make_two_segment_map()
+        assert smap.segment_portal_nodes(0) == [1]
+        start = np.array([0.0, 0.3, 0.0])
+        goal = np.array([0.3, -0.3, 0.0])
+        res = plan_cached(smap, start, goal, PARAMS)
+        assert res is not None
+        assert node_ids(smap, res.waypoints) == [0]
+        assert res.cost == sum(_chain_cost(res.waypoints, res.clearances, PARAMS))
 
     def test_cached_cost_at_least_full_cost(self):
         grid, c1, c2, _ = two_rooms_with_corridor()
@@ -411,23 +476,18 @@ class TestEvaluatePath:
         assert L == pytest.approx(res.length, rel=1e-6)
         assert Z == pytest.approx(res.risk, rel=1e-6)
 
-    def test_sphere_plan_self_consistency_with_clearance_callback(self):
+    def test_sphere_plan_self_consistency(self):
+        # endpoint clearances are attach margins, so only length and safety
+        # are compared against the re-measured path
         grid, c1, c2, _ = two_rooms_with_corridor()
         smap = SphereMap(BuildParams(cube_side=16.0, voxel_stride=2, ray_count=0,
                                      r_exp=3.0, r_merge=8.0), seed=0)
         for t in np.linspace(0, 1, 5):
             smap.update_iteration(grid, c1 + t * (c2 - c1))
         field = ClearanceField(grid)
-        res = astar_sphere_graph(smap, c1, c2, PARAMS,
-                                 clearance_at=field.nearest_distance)
-        assert res is not None
-        L, Z, J, mc = evaluate_path(res.waypoints, field, PARAMS)
-        assert L == pytest.approx(res.length, rel=1e-6)
-        assert Z == pytest.approx(res.risk, rel=1e-6, abs=1e-9)
-        assert mc > PARAMS.r_min
-        cached = plan_cached(smap, c1, c2, PARAMS, clearance_at=field.nearest_distance)
-        assert cached is not None
-        L, Z, J, mc = evaluate_path(cached.waypoints, field, PARAMS)
-        assert L == pytest.approx(cached.length, rel=1e-6)
-        assert Z == pytest.approx(cached.risk, rel=1e-6, abs=1e-9)
-        assert mc > PARAMS.r_min
+        for res in (astar_sphere_graph(smap, c1, c2, PARAMS),
+                    plan_cached(smap, c1, c2, PARAMS)):
+            assert res is not None
+            L, _, _, mc = evaluate_path(res.waypoints, field, PARAMS)
+            assert L == pytest.approx(res.length, rel=1e-6)
+            assert mc > PARAMS.r_min

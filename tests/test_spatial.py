@@ -74,14 +74,7 @@ class TestNodeIndex:
         index = NodeIndex(cell_size=2.0)
         index.insert(5, (1.0, 0.0, 0.0))
         index.insert(2, (-1.0, 0.0, 0.0))
-        assert index.nearest_k((0, 0, 0), 2) == [2, 5]
         assert index.within_radius((0, 0, 0), 1.0) == [2, 5]
-
-    def test_nearest_k_more_than_size(self):
-        index = NodeIndex(cell_size=1.0)
-        index.insert(1, (0, 0, 0))
-        assert index.nearest_k((5, 5, 5), 10) == [1]
-        assert index.nearest_k((5, 5, 5), 0) == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_ops_match_linear_scan(self, seed):
@@ -108,9 +101,6 @@ class TestNodeIndex:
             order = sorted(range(len(ids)), key=lambda i: (d[i], ids[i]))
             expected_wr = [ids[i] for i in order if d[i] <= r]
             assert index.within_radius(q, r) == expected_wr
-            k = int(rng.integers(1, 12))
-            expected_k = [ids[i] for i in order[:k]]
-            assert index.nearest_k(q, k) == expected_k
 
     def test_query_returns_sorted_arrays(self):
         index = NodeIndex(cell_size=2.0)
