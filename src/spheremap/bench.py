@@ -20,7 +20,8 @@ from .mission import MissionTrace, run_mission
 from .planner import (ClearanceField, PlannerParams, _graph_costs,
                       astar_sphere_graph, evaluate_path, grid_astar,
                       plan_cached, rrt_star)
-from .voxelgrid import FREE, OccupancyGrid, downsample
+from .spatial import ObstacleIndex
+from .voxelgrid import FREE, OccupancyGrid, downsample, grid_obstacles
 
 TIMING_NOTES = (
     "timing: per-query planner time only",
@@ -146,11 +147,11 @@ def _run_mode(mode, smap, coarse, coarse_field, start, goals, params,
 
 
 def _fields(world: OccupancyGrid, grid_factor: int):
-    """(coarse grid, its clearance field, the world's field), both fields
-    measured against the world's obstacle set."""
+    """(coarse grid, its clearance field, the world's obstacle index), the
+    field measured against the index's points."""
     coarse = downsample(world, grid_factor)
-    fine_field = ClearanceField(world)
-    return coarse, ClearanceField(coarse, obstacles=fine_field.obstacles), fine_field
+    fine = ObstacleIndex(grid_obstacles(world))
+    return coarse, ClearanceField(coarse, obstacles=fine.points), fine
 
 
 def scenario_multi_goal(world: OccupancyGrid, smap, start, goals,

@@ -21,9 +21,9 @@ from .core import BuildParams
 from .errors import ConfigError, ParseError
 from .mission import MissionTrace, build_spheremap
 from .planner import (ClearanceField, PlannerParams, astar_sphere_graph,
-                      grid_astar, grid_obstacles, plan_cached, rrt_star)
+                      grid_astar, plan_cached, rrt_star)
 from .smap_io import load_map, save_map
-from .voxelgrid import downsample, load_grid, save_grid
+from .voxelgrid import downsample, grid_obstacles, load_grid, save_grid
 from .worlds import WorldSpec, generate_world
 
 _EXTRA_KEYS = {"spacing", "passes", "grid_factor", "rrt_timeout", "budget",

@@ -163,9 +163,11 @@ class SphereMap:
             self._r_max_dirty = False
         return self._r_max
 
-    def _add_node(self, p, r: float) -> int:
-        nid = self._next_node_id
-        self._next_node_id += 1
+    def _add_node(self, p, r: float, nid: int | None = None) -> int:
+        """Insert a sphere under a fresh id, or under ``nid`` (map loading)."""
+        if nid is None:
+            nid = self._next_node_id
+            self._next_node_id += 1
         # Coordinates and radii are quantized to float32 so SMAP snapshots
         # round-trip the structure exactly.
         p = np.asarray(np.asarray(p, dtype=np.float32), dtype=float)
@@ -709,7 +711,11 @@ class SphereMap:
             merged_into[source] = target
             stats["merged"] += 1
 
-        # Portals for every altered segment, then path caches.
+        # Portals for every altered segment, then path caches. They change
+        # the meta graph but no node, edge or radius, so the token moves
+        # before the rebuilds: the edge-cost table they build stays current
+        # for the next query.
+        self.mutation_token += 1
         dirty = sorted(l for l, s in self.segments.items() if s.altered)
         cache_dirty: set[int] = set(dirty)
         for label in dirty:
@@ -718,7 +724,6 @@ class SphereMap:
             if label in self.segments:
                 self._rebuild_cache(label)
                 stats["caches_rebuilt"] += 1
-        self.mutation_token += 1
         return stats
 
     # ------------------------------------------------------------------

@@ -30,11 +30,11 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry
 from .errors import BudgetExceededError
-from .voxelgrid import FREE, OccupancyGrid, UpdateCube, frontier_points, obstacle_points
+from .spatial import ObstacleIndex
+from .voxelgrid import FREE, OccupancyGrid, grid_obstacles
 
 
 @dataclass
@@ -101,22 +101,14 @@ def _chain_cost(waypoints, clearances, params: PlannerParams) -> tuple[float, fl
 
 
 def evaluate_path(waypoints, clearance_source, params: PlannerParams):
-    """(L, Z, J, min clearance) of a waypoint path, clearances re-queried."""
-    fn = _clearance_fn(clearance_source)
+    """(L, Z, J, min clearance) of a waypoint path, clearances re-queried
+    from ``clearance_source.nearest_distance``."""
     waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 3)
-    clearances = np.array([fn(p) for p in waypoints])
+    clearances = np.array([clearance_source.nearest_distance(p) for p in waypoints])
     if len(waypoints) == 1:
         return 0.0, 0.0, 0.0, float(clearances[0])
     length, risk = _chain_cost(waypoints, clearances, params)
     return length, risk, length + risk, float(np.min(clearances))
-
-
-def _clearance_fn(source):
-    if callable(source):
-        return source
-    if hasattr(source, "nearest_distance"):
-        return source.nearest_distance
-    raise TypeError("clearance source must be callable or provide nearest_distance")
 
 
 # ----------------------------------------------------------------------
@@ -320,10 +312,7 @@ def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
     meta[-1] = [(e, s_dist[e]) for e in smap.segment_portal_nodes(s_label) if e in s_dist]
     for e in smap.segment_portal_nodes(g_label):
         if e in g_dist:
-            # g_dist[e] already counts the goal -> g_id step, so this weight
-            # overstates the route by the e -> goal step.
-            dl, dz = transition_cost(nodes[e].p, nodes[e].r, goal, g_margin, params)
-            meta[e] = meta[e] + [(-2, g_dist[e] + dl + dz)]
+            meta[e] = meta[e] + [(-2, g_dist[e])]
     found = _best_first(meta, {-1: 0.0}, goal=-2)
     if found is None and direct is None:
         return None
@@ -349,14 +338,7 @@ def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
 # occupancy-grid baselines
 # ----------------------------------------------------------------------
 
-def grid_obstacles(grid: OccupancyGrid) -> np.ndarray:
-    """Occupied-voxel and frontier centroids of the whole grid, as (N, 3)."""
-    span = float(np.max(grid.world_max() - grid.world_min()))
-    cube = UpdateCube(0.5 * (grid.world_min() + grid.world_max()), span + 2 * grid.resolution)
-    return np.concatenate([obstacle_points(grid, cube), frontier_points(grid, cube)], axis=0)
-
-
-class ClearanceField:
+class ClearanceField(ObstacleIndex):
     """Per-voxel and continuous clearance against an obstacle point set.
 
     By default the obstacle set is ``grid_obstacles(grid)``: the union of
@@ -368,40 +350,16 @@ class ClearanceField:
     clearance measured against coarse centroids overstates the world's and a
     path that keeps ``r_min`` on the coarse grid can break it in the world.
     ``field`` holds the clearance at the centre of each FREE voxel of
-    ``grid`` (0 elsewhere). Building the field is a one-off, untimed
-    precomputation for the grid baselines.
+    ``grid`` (0 elsewhere, inf with no obstacles). Building the field is a
+    one-off, untimed precomputation for the grid baselines.
     """
 
     def __init__(self, grid: OccupancyGrid, obstacles: np.ndarray | None = None):
-        self.grid = grid
-        if obstacles is None:
-            pts = grid_obstacles(grid)
-        else:
-            pts = np.asarray(obstacles, dtype=float).reshape(-1, 3)
-        self.obstacles = pts
-        self._tree = cKDTree(pts) if len(pts) else None
+        super().__init__(grid_obstacles(grid) if obstacles is None else obstacles)
         self.field = np.zeros(grid.states.shape)
         free = grid.states == FREE
-        if self._tree is not None and free.any():
-            idx = np.argwhere(free)
-            centers = grid.origin + grid.resolution * (idx + 0.5)
-            d, _ = self._tree.query(centers)
-            self.field[free] = d
-        elif free.any():
-            self.field[free] = np.inf
-
-    def nearest_distance(self, p) -> float:
-        if self._tree is None:
-            return math.inf
-        d, _ = self._tree.query(np.asarray(p, dtype=float))
-        return float(d)
-
-    def nearest_distances(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-        if self._tree is None:
-            return np.full(len(pts), np.inf)
-        d, _ = self._tree.query(pts)
-        return np.asarray(d, dtype=float)
+        centers = grid.origin + grid.resolution * (np.argwhere(free) + 0.5)
+        self.field[free] = self.nearest_distances(centers)
 
 
 _GRID_OFFSETS = [(di, dj, dk) for di in (-1, 0, 1) for dj in (-1, 0, 1)

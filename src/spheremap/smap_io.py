@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .core import BuildParams, Portal, Segment, SphereMap, SphereNode
+from .core import BuildParams, Portal, Segment, SphereMap
 from .errors import BadMagicError, PayloadError, TruncatedError
 
 _MAGIC = b"SMP1"
@@ -117,11 +117,8 @@ def load_map(data: bytes) -> SphereMap:
         nid, x, y, z, r, seg = rd.take(_NODE)
         if nid in smap.nodes:
             raise PayloadError(f"duplicate node id {nid}")
-        node = SphereNode(nid, np.array([x, y, z], dtype=float), float(r),
-                          None if seg == _UNASSIGNED else int(seg))
-        smap.nodes[nid] = node
-        smap.adj[nid] = set()
-        smap.node_index.insert(nid, node.p)
+        smap._add_node((x, y, z), r, nid)
+        smap.nodes[nid].segment = None if seg == _UNASSIGNED else int(seg)
 
     (n_edges,) = rd.take(_U32)
     for _ in range(n_edges):

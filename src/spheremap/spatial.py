@@ -1,7 +1,10 @@
 """Nearest-neighbor structures.
 
-``ObstacleIndex`` is a static k-d tree over obstacle and frontier points,
-rebuilt from scratch for every update cube. ``NodeIndex`` is a dynamic
+``ObstacleIndex`` is a static k-d tree over obstacle and frontier points and
+the one clearance source: map updates build it over each padded update cube,
+and the grid baselines (through its subclass ``planner.ClearanceField``), the
+clearance invariant check and the benchmark scenarios build it over a whole
+grid (``voxelgrid.grid_obstacles``). ``NodeIndex`` is a dynamic
 bucketed spatial hash over sphere centers with exact vectorized
 post-filtering; all queries match a linear scan, with distance ties broken
 by lower id.

@@ -11,10 +11,10 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry, planner
-from .voxelgrid import OccupancyGrid, UpdateCube, frontier_points, obstacle_points
+from .spatial import ObstacleIndex
+from .voxelgrid import OccupancyGrid, grid_obstacles
 
 
 def check_structure(smap) -> list[str]:
@@ -141,25 +141,16 @@ def check_structure(smap) -> list[str]:
 
 def check_clearance(smap, grid: OccupancyGrid, all_nodes: bool = False) -> list[str]:
     """Radii never exceed the true obstacle distance (full-set recomputation)."""
-    problems: list[str] = []
-    span = float(np.max(grid.world_max() - grid.world_min()))
-    cube = UpdateCube(0.5 * (grid.world_min() + grid.world_max()),
-                      span + 2 * grid.resolution)
-    pts = np.concatenate([obstacle_points(grid, cube),
-                          frontier_points(grid, cube,
-                                          smap.params.frontier_connectivity)], axis=0)
     if all_nodes or smap.last_cube is None:
         ids = sorted(smap.nodes)
     else:
         ids = sorted(smap.nodes_in_cube(smap.last_cube))
     if not ids:
-        return problems
-    if not len(pts):
-        return problems
-    tree = cKDTree(pts)
-    pos = np.array([smap.nodes[i].p for i in ids])
-    d, _ = tree.query(pos)
+        return []
+    index = ObstacleIndex(grid_obstacles(grid, smap.params.frontier_connectivity))
+    d = index.nearest_distances(np.array([smap.nodes[i].p for i in ids]))
     eps = smap.params.eps_r
+    problems = []
     for nid, dist in zip(ids, d):
         node = smap.nodes[nid]
         if node.r > dist + eps:

@@ -171,6 +171,15 @@ def frontier_points(grid: OccupancyGrid, cube: UpdateCube, connectivity: int = 6
     return _centroids(grid, (core == FREE) & near_unknown, (i0, j0, k0))
 
 
+def grid_obstacles(grid: OccupancyGrid, connectivity: int = 6) -> np.ndarray:
+    """Occupied-voxel and frontier centroids of the whole grid, as (N, 3):
+    the obstacle set that bounds sphere radii, over every voxel at once."""
+    span = float(np.max(grid.world_max() - grid.world_min()))
+    cube = UpdateCube(0.5 * (grid.world_min() + grid.world_max()), span + 2 * grid.resolution)
+    return np.concatenate([obstacle_points(grid, cube),
+                           frontier_points(grid, cube, connectivity)], axis=0)
+
+
 def raycast_free(grid: OccupancyGrid, p_from, p_to) -> bool:
     """True iff every voxel traversed by the segment is free.
 
@@ -269,9 +278,12 @@ def load_grid(data: bytes) -> OccupancyGrid:
     if resolution <= 0 or not np.isfinite(resolution):
         raise PayloadError(f"bad resolution {resolution}")
     total = nx * ny * nz
+    pos = 4 + _HEADER.size
+    # Checked before allocating, so hostile dims cannot exhaust memory.
+    if total > (len(data) - pos) // _RUN.size * _MAX_RUN:
+        raise TruncatedError(f"payload too short for {nx}x{ny}x{nz} voxels")
     flat = np.empty(total, dtype=np.uint8)
     filled = 0
-    pos = 4 + _HEADER.size
     while filled < total:
         if pos + _RUN.size > len(data):
             raise TruncatedError("payload ended before covering all voxels")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spheremap import (FREE, OCCUPIED, BuildParams, ObstacleIndex, SphereMap,
-                       UpdateCube, check_all, check_structure)
+                       UpdateCube, check_all, check_structure, plan_cached)
 from spheremap.geometry import covered_fractions
 
 from conftest import box_room, spherical_cavity, two_rooms_with_corridor
@@ -267,6 +267,15 @@ class TestSegmentation:
                     seen.add(nxt)
                     stack.append(nxt)
         assert lab2 not in seen
+
+    def test_next_query_reads_the_edge_costs_the_update_built(self):
+        grid, c1, c2, _ = two_rooms_with_corridor()
+        smap = make_map(cube_side=16.0, r_exp=3.0, r_merge=8.0)
+        for t in np.linspace(0, 1, 5):
+            smap.update_iteration(grid, c1 + t * (c2 - c1))
+        built = smap._plan_ctx[1]
+        assert plan_cached(smap, c1, c2, smap.plan_params) is not None
+        assert smap._plan_ctx[1] is built
 
     def test_snapshot_is_independent(self, small_room):
         smap = make_map()

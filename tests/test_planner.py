@@ -9,7 +9,8 @@ from spheremap import (FREE, OCCUPIED, BudgetExceededError, BuildParams,
                        Segment, SphereMap, astar_nodes, astar_sphere_graph,
                        downsample, evaluate_path, grid_astar, plan_cached, rrt_star,
                        transition_cost)
-from spheremap.planner import _chain_cost, grid_obstacles
+from spheremap.planner import _chain_cost
+from spheremap.voxelgrid import grid_obstacles
 
 from conftest import box_room, two_rooms_with_corridor, wall_gap_room
 from oracles import random_sphere_map, ucs_node_cost, ucs_optimal
@@ -262,6 +263,28 @@ class TestPlanCached:
         assert node_ids(smap, res.waypoints) == [0]
         assert res.cost == sum(_chain_cost(res.waypoints, res.clearances, PARAMS))
 
+    def test_goal_portal_edge_is_not_charged_twice(self):
+        # segment 0 is a U from node 0 round to node 6; a two-segment bridge
+        # (nodes 7 | 8) joins its tips. The goal sits at node 5, one step
+        # past the bridge's goal-side portal node 6, and the bridge route
+        # is the cheaper one; charging the 6 -> goal step on top of
+        # g_dist[6] made the U look cheaper.
+        u = [(0, 0), (2, 0), (4, 0), (4, 2), (4, 4), (2, 4), (0, 4)]
+        chain = [((x, y, 0.0), 1.6) for x, y in u + [(-1.5, 1.0), (-1.5, 3.0)]]
+        segments = {0: list(range(7)), 1: [7], 2: [8]}
+        portals = {(0, 1): (0, 7), (1, 2): (7, 8), (0, 2): (6, 8)}
+        smap, ids = hand_map(chain, segments, portals)
+        for label in segments:
+            smap._rebuild_cache(label)
+        start = np.array([0.0, -0.3, 0.0])
+        goal = np.array([2.3, 4.0, 0.0])
+        res = plan_cached(smap, start, goal, PARAMS)
+        full = astar_sphere_graph(smap, start, goal, PARAMS)
+        assert res is not None and full is not None
+        assert node_ids(smap, res.waypoints) == [0, 7, 8, 6, 5]
+        np.testing.assert_array_equal(res.waypoints, full.waypoints)
+        assert res.cost == sum(_chain_cost(res.waypoints, res.clearances, PARAMS))
+
     def test_cached_cost_at_least_full_cost(self):
         grid, c1, c2, _ = two_rooms_with_corridor()
         smap = SphereMap(BuildParams(cube_side=16.0, voxel_stride=2, ray_count=0,
@@ -305,6 +328,14 @@ class TestClearanceField:
         assert np.all(field.field[~free] == 0.0)
         p = np.array([5.2, 3.3, 1.6])
         assert field.nearest_distance(p) == fine.nearest_distance(p)
+
+    def test_no_obstacles_reads_inf_on_free_voxels(self):
+        grid = box_room((4.0, 4.0, 4.0), resolution=1.0)
+        field = ClearanceField(grid, obstacles=np.empty((0, 3)))
+        free = grid.states == FREE
+        assert np.all(np.isinf(field.field[free]))
+        assert np.all(field.field[~free] == 0.0)
+        assert field.nearest_distance((1.0, 1.0, 1.0)) == math.inf
 
     def test_coarse_grid_path_keeps_world_clearance(self):
         world, start, goal = wall_gap_room()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from spheremap import (BadMagicError, BuildParams, PayloadError, SphereMap,
-                       TruncatedError, load_map, save_map)
+                       TruncatedError, check_all, load_map, save_map)
 
-from conftest import box_room
+from conftest import box_room, two_rooms_with_corridor
 
 
 def build_small_map(seed=0):
@@ -78,3 +78,17 @@ class TestSmapFormat:
         smap = build_small_map(seed)
         data = save_map(smap)
         assert save_map(load_map(data)) == data
+
+
+def test_loaded_map_keeps_updating_like_the_original():
+    # The RNG state is not saved, so the build samples per voxel only.
+    grid, c1, c2, _ = two_rooms_with_corridor()
+    smap = SphereMap(BuildParams(cube_side=24.0, voxel_stride=2, ray_count=0))
+    for p in (c1, c2):
+        smap.update_iteration(grid, p)
+    loaded = load_map(save_map(smap))
+    for m in (smap, loaded):
+        for p in (c1, c2):
+            m.update_iteration(grid, p)
+    assert save_map(loaded) == save_map(smap)
+    assert check_all(loaded, grid) == []

@@ -1,0 +1,29 @@
+import numpy as np
+
+from spheremap import UNKNOWN, BuildParams, SphereMap, check_clearance
+
+from conftest import box_room
+
+
+class TestCheckClearance:
+    def test_reports_radius_above_world_clearance(self, small_room):
+        smap = SphereMap(BuildParams(cube_side=30.0, voxel_stride=2, ray_count=0))
+        smap.update_iteration(small_room, np.array([4.0, 4.0, 1.5]))
+        assert check_clearance(smap, small_room, all_nodes=True) == []
+        nid = min(smap.nodes)
+        smap.nodes[nid].r += 0.1
+        problems = check_clearance(smap, small_room, all_nodes=True)
+        assert len(problems) == 1 and problems[0].startswith(f"node {nid} radius")
+
+    def test_uses_the_maps_frontier_connectivity(self):
+        # One unknown voxel inside a walled room. The node sits on the
+        # centroid of a free voxel touching it only at a corner: a frontier
+        # at 26-connectivity, not at 6, where the nearest frontier is a face
+        # neighbour sqrt(2) away.
+        grid = box_room((9.0, 9.0, 9.0), resolution=1.0)
+        grid.states[5, 5, 5] = UNKNOWN
+        p = grid.voxel_center((6, 6, 6))
+        for connectivity, expected in ((6, 0), (26, 1)):
+            smap = SphereMap(BuildParams(frontier_connectivity=connectivity))
+            smap._add_node(p, 1.0)
+            assert len(check_clearance(smap, grid)) == expected

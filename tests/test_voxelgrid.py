@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from spheremap import (FREE, OCCUPIED, OUT_OF_BOUNDS, UNKNOWN, BadMagicError,
-                       OccupancyGrid, PayloadError, TruncatedError, UpdateCube,
+                       OccupancyGrid, ParseError, PayloadError, TruncatedError, UpdateCube,
                        downsample, frontier_points, load_grid, obstacle_points,
                        raycast_free, save_grid)
 
@@ -255,6 +257,13 @@ class TestVoxgridFormat:
             load_grid(data[:10])
         with pytest.raises(TruncatedError):
             load_grid(data[:len(data) - 1])
+
+    @pytest.mark.parametrize("n", [4_000_000_000, 100_000])
+    def test_oversized_dims(self, n):
+        data = bytearray(save_grid(make_grid((1, 1, 1), FREE)))
+        struct.pack_into("<3I", data, 4 + 32, n, n, n)
+        with pytest.raises(ParseError):
+            load_grid(bytes(data))
 
     def test_surplus_bytes(self):
         data = save_grid(make_grid((2, 2, 2), FREE))
