@@ -9,7 +9,7 @@ cached per segment.
 One ``update_iteration`` mutates only the cube around the vehicle, in three
 steps: radius recomputation + pruning, expansion by sampling, then
 segmentation (split / grow / seed / merge / portal + cache refresh). The map
-has a single mutator; planning runs between iterations or on a snapshot.
+has a single mutator; planning reads it between iterations.
 """
 
 from __future__ import annotations
@@ -782,9 +782,3 @@ class SphereMap:
         report.edge_delta = report.edge_count - e0
         report.segment_delta = report.segment_count - s0
         return report
-
-    def snapshot(self) -> "SphereMap":
-        """Deep copy safe to plan against while the original keeps updating."""
-        import copy
-
-        return copy.deepcopy(self)

@@ -118,7 +118,13 @@ def fit_box(positions: np.ndarray, radii: np.ndarray):
 
 
 def _cluster_goals(points: np.ndarray, radius: float = GOAL_CLUSTER_RADIUS) -> np.ndarray:
-    """Greedy clustering: largest neighborhoods claim their points first."""
+    """Greedy clustering: largest neighborhoods claim their points first.
+
+    Only neighbour counts are held for every point; the neighbourhood itself
+    is queried for each seed that is still unassigned when its turn comes, so
+    no per-point neighbour lists are kept. Members are sorted, the order a
+    multi-point ball query returns, so each goal is the same mean bit for bit.
+    """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(points) == 0:
         return np.empty((0, 3))
@@ -126,15 +132,15 @@ def _cluster_goals(points: np.ndarray, radius: float = GOAL_CLUSTER_RADIUS) -> n
         stride = -(-len(points) // 20000)
         points = points[::stride]
     tree = cKDTree(points)
-    neigh = tree.query_ball_point(points, radius)
-    counts = np.array([len(n) for n in neigh])
+    counts = tree.query_ball_point(points, radius, return_length=True)
     order = np.lexsort((np.arange(len(points)), -counts))
     unassigned = np.ones(len(points), dtype=bool)
     goals = []
     for i in order:
         if not unassigned[i]:
             continue
-        members = [j for j in neigh[i] if unassigned[j]]
+        neigh = np.asarray(tree.query_ball_point(points[i], radius, return_sorted=True))
+        members = neigh[unassigned[neigh]]
         unassigned[members] = False
         goals.append(points[members].mean(axis=0))
     return np.array(goals)

@@ -56,7 +56,8 @@ def reveal(working: OccupancyGrid, world: OccupancyGrid, pos, trace: MissionTrac
     """Copy true states into the working grid along a fan of rays from ``pos``.
 
     Rays march at half-voxel steps and stop at the first occupied voxel,
-    which is itself revealed.
+    which is itself revealed, or where they leave the grid. The march goes
+    16 steps at a time and carries on only the rays not yet stopped.
     """
     pos = np.asarray(pos, dtype=float)
     own = world.world_to_voxel(pos)
@@ -67,19 +68,23 @@ def reveal(working: OccupancyGrid, world: OccupancyGrid, pos, trace: MissionTrac
     n_steps = max(int(trace.sensor_range / step), 1)
     steps = np.arange(1, n_steps + 1) * step
     dims = np.asarray(world.states.shape)
-    for lo in range(0, len(dirs), 4096):
-        chunk = dirs[lo:lo + 4096]
-        pts = pos[None, None, :] + chunk[:, None, :] * steps[None, :, None]
+    for lo in range(0, n_steps, 16):
+        block = steps[lo:lo + 16]
+        pts = pos[None, None, :] + dirs[:, None, :] * block[None, :, None]
         idx = np.floor((pts - world.origin) / world.resolution).astype(int)
         inb = np.all((idx >= 0) & (idx < dims), axis=2)
         safe = np.clip(idx, 0, dims - 1)
         states = world.states[safe[..., 0], safe[..., 1], safe[..., 2]]
         blocked = (~inb) | (states == OCCUPIED)
-        first = np.where(blocked.any(axis=1), blocked.argmax(axis=1), n_steps)
-        visible = (np.arange(n_steps)[None, :] <= first[:, None]) & inb
+        stopped = blocked.any(axis=1)
+        first = np.where(stopped, blocked.argmax(axis=1), len(block))
+        visible = (np.arange(len(block))[None, :] <= first[:, None]) & inb
         sel = idx[visible]
         working.states[sel[:, 0], sel[:, 1], sel[:, 2]] = \
             world.states[sel[:, 0], sel[:, 1], sel[:, 2]]
+        dirs = dirs[~stopped]
+        if not len(dirs):
+            break
 
 
 def run_mission(world: OccupancyGrid, trace: MissionTrace,

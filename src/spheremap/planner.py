@@ -18,7 +18,7 @@ come from ``_graph_costs``; meta-graph weights are portal crossings and
 cached portal-to-portal path costs.
 
 All planners are pure functions over read-only inputs; run them between map
-updates or against a snapshot.
+updates.
 """
 
 from __future__ import annotations

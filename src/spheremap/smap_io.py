@@ -9,6 +9,7 @@ and RNG state are not part of the snapshot.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -93,6 +94,10 @@ class _Reader:
         return self.take(st)
 
 
+def _finite(*values: float) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
 def load_map(data: bytes) -> SphereMap:
     if len(data) < 4:
         raise TruncatedError("buffer shorter than magic")
@@ -107,9 +112,9 @@ def load_map(data: bytes) -> SphereMap:
                              xi=xi, d_max=d_max, per_voxel_samples=bool(per_voxel),
                              frontier_connectivity=conn, voxel_stride=stride,
                              ray_count=ray_count, samples_per_ray=samples_per_ray)
+        smap = SphereMap(params, seed=int(seed))
     except ValueError as exc:
         raise PayloadError(f"invalid params block: {exc}") from exc
-    smap = SphereMap(params, seed=int(seed))
     smap._next_node_id, smap._next_label = rd.take(_COUNTERS)
 
     (n_nodes,) = rd.take(_U32)
@@ -117,6 +122,8 @@ def load_map(data: bytes) -> SphereMap:
         nid, x, y, z, r, seg = rd.take(_NODE)
         if nid in smap.nodes:
             raise PayloadError(f"duplicate node id {nid}")
+        if not _finite(x, y, z, r) or r < params.r_min:
+            raise PayloadError(f"node {nid} has a bad position or radius")
         smap._add_node((x, y, z), r, nid)
         smap.nodes[nid].segment = None if seg == _UNASSIGNED else int(seg)
 
@@ -131,6 +138,8 @@ def load_map(data: bytes) -> SphereMap:
     (n_segs,) = rd.take(_U32)
     for _ in range(n_segs):
         label, cx, cy, cz, rad, flags, n_portals = rd.take(_SEG)
+        if not _finite(cx, cy, cz, rad):
+            raise PayloadError(f"segment {label} has a non-finite centre or radius")
         members = {nid for nid, node in smap.nodes.items() if node.segment == label}
         seg = Segment(label, members, np.array([cx, cy, cz], dtype=float), float(rad),
                       altered=bool(flags & 1), box_dirty=bool(flags & 2))
@@ -139,6 +148,8 @@ def load_map(data: bytes) -> SphereMap:
         smap.segments[label] = seg
         for _ in range(n_portals):
             other, here, there, prad = rd.take(_PORTAL)
+            if not _finite(prad):
+                raise PayloadError(f"portal ({label}, {other}) has a non-finite radius")
             pair = (label, other) if label < other else (other, label)
             a, b = (here, there) if label < other else (there, here)
             portal = Portal(pair, a, b, float(prad))
@@ -151,6 +162,8 @@ def load_map(data: bytes) -> SphereMap:
             n1, n2, plen = rd.take(_CACHE)
             ids = rd.take_u32s(plen)
             (cost,) = rd.take(_F32)
+            if not _finite(cost):
+                raise PayloadError(f"cached path ({n1}, {n2}) has a non-finite cost")
             seg.path_cache[(n1, n2)] = (tuple(int(i) for i in ids), float(cost))
 
     if rd.pos != len(data):

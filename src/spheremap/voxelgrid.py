@@ -23,6 +23,7 @@ OUT_OF_BOUNDS = 3
 _MAGIC = b"VXG1"
 _HEADER = struct.Struct("<d3d3I")
 _RUN = struct.Struct("<BI")
+_RUN_DTYPE = np.dtype([("state", "<u1"), ("count", "<u4")])
 _MAX_RUN = 0xFFFFFFFF
 
 _FACE_OFFSETS = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
@@ -279,23 +280,21 @@ def load_grid(data: bytes) -> OccupancyGrid:
         raise PayloadError(f"bad resolution {resolution}")
     total = nx * ny * nz
     pos = 4 + _HEADER.size
-    # Checked before allocating, so hostile dims cannot exhaust memory.
-    if total > (len(data) - pos) // _RUN.size * _MAX_RUN:
+    n_runs, tail = divmod(len(data) - pos, _RUN.size)
+    runs = np.frombuffer(data, dtype=_RUN_DTYPE, count=n_runs, offset=pos)
+    values, counts = runs["state"], runs["count"]
+    # Every check runs before allocating, so hostile dims or counts cannot
+    # ask for more voxels than the runs present actually cover.
+    if np.any(values > OCCUPIED):
+        raise PayloadError(f"invalid state byte {int(values.max())}")
+    if np.any(counts == 0):
+        raise PayloadError("run of zero voxels")
+    covered = int(counts.sum(dtype=np.uint64))
+    if covered < total:
         raise TruncatedError(f"payload too short for {nx}x{ny}x{nz} voxels")
-    flat = np.empty(total, dtype=np.uint8)
-    filled = 0
-    while filled < total:
-        if pos + _RUN.size > len(data):
-            raise TruncatedError("payload ended before covering all voxels")
-        state, count = _RUN.unpack_from(data, pos)
-        pos += _RUN.size
-        if state not in (UNKNOWN, FREE, OCCUPIED):
-            raise PayloadError(f"invalid state byte {state}")
-        if count == 0 or filled + count > total:
-            raise PayloadError("run-length payload does not match voxel count")
-        flat[filled:filled + count] = state
-        filled += count
-    if pos != len(data):
-        raise PayloadError(f"{len(data) - pos} surplus bytes after payload")
-    states = flat.reshape((nx, ny, nz), order="F")
+    if covered > total:
+        raise PayloadError("run-length payload does not match voxel count")
+    if tail:
+        raise PayloadError(f"{tail} surplus bytes after payload")
+    states = np.repeat(values, counts.astype(np.intp)).reshape((nx, ny, nz), order="F")
     return OccupancyGrid(resolution, np.array([ox, oy, oz]), states)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spheremap import FREE, OCCUPIED, OccupancyGrid
+
+# Property tests draw the same bounded set of examples on every run and keep
+# no example database, so the suite stays reproducible. With 1000 examples
+# per property, single-byte overwrites of the tests' small payloads missed
+# decoder faults (a ValueError, a MemoryError) that 2000 examples find.
+settings.register_profile("spheremap", derandomize=True, database=None,
+                          max_examples=2000, deadline=None)
+settings.load_profile("spheremap")
 
 
 def box_room(extent, resolution=0.2):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from spheremap import FREE, BuildParams, SphereMap, UpdateCube
+from spheremap import FREE, OCCUPIED, BuildParams, SphereMap, UpdateCube
 from spheremap.voxelgrid import frontier_points, obstacle_points
 
 
@@ -168,3 +168,43 @@ def ucs_node_cost(smap, a, b, params):
                 dist[v] = alt
                 heapq.heappush(heap, (alt, v))
     return None
+
+
+def greedy_goal_clusters(points, radius):
+    """Greedy goal clustering by all-pairs distances: points in order of
+    decreasing neighbour count (ties by index) claim every unclaimed point
+    within ``radius``; each goal is the mean of its members in index order."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(points) == 0:
+        return np.empty((0, 3))
+    delta = points[:, None, :] - points[None, :, :]
+    near = np.einsum("ijk,ijk->ij", delta, delta) <= radius * radius
+    counts = near.sum(axis=1)
+    order = sorted(range(len(points)), key=lambda i: (-counts[i], i))
+    claimed = np.zeros(len(points), dtype=bool)
+    goals = []
+    for i in order:
+        if claimed[i]:
+            continue
+        members = [j for j in range(len(points)) if near[i, j] and not claimed[j]]
+        claimed[members] = True
+        goals.append(points[members].mean(axis=0))
+    return np.array(goals)
+
+
+def reveal_per_ray(working, world, pos, directions, step, n_steps):
+    """Walk each ray alone, sample k * step for k = 1..n_steps: stop before
+    the first voxel outside the grid, or after revealing the first occupied
+    one. The voxel holding ``pos`` is revealed first."""
+    pos = np.asarray(pos, dtype=float)
+    own = world.world_to_voxel(pos)
+    if own is not None:
+        working.states[own] = world.states[own]
+    for d in directions:
+        for k in range(1, n_steps + 1):
+            ijk = world.world_to_voxel(pos + d * (k * step))
+            if ijk is None:
+                break
+            working.states[ijk] = world.states[ijk]
+            if world.states[ijk] == OCCUPIED:
+                break

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spheremap import (FREE, OCCUPIED, BuildParams, ObstacleIndex, SphereMap,
-                       UpdateCube, check_all, check_structure, plan_cached)
+                       UpdateCube, check_all, plan_cached)
 from spheremap.geometry import covered_fractions
 
 from conftest import box_room, spherical_cavity, two_rooms_with_corridor
@@ -276,12 +276,3 @@ class TestSegmentation:
         built = smap._plan_ctx[1]
         assert plan_cached(smap, c1, c2, smap.plan_params) is not None
         assert smap._plan_ctx[1] is built
-
-    def test_snapshot_is_independent(self, small_room):
-        smap = make_map()
-        smap.update_iteration(small_room, np.array([4.0, 4.0, 1.5]))
-        snap = smap.snapshot()
-        n_before = snap.node_count()
-        smap.update_iteration(small_room, np.array([4.0, 4.0, 1.5]))
-        assert snap.node_count() == n_before
-        assert check_structure(snap) == []

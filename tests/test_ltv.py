@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from spheremap import (BadMagicError, BuildParams, LtvMap, LtvSegment, PayloadEr
                        SphereMap, TruncatedError, decode, encode, encoded_size,
                        extract, fit_box, misclassified_fraction, size_report)
 
+from spheremap.ltv import GOAL_CLUSTER_RADIUS, _cluster_goals
+
 from conftest import box_room, two_rooms_with_corridor
+from oracles import greedy_goal_clusters
 
 
 def box_contains_spheres(center, yaw, half, positions, radii, tol=1e-9):
@@ -127,6 +131,43 @@ class TestExtract:
         assert len(smap.frontiers) > 0
         assert any(seg.exploration > 0 for seg in ltv.segments)
         assert len(ltv.goals) >= 1
+
+
+class TestClusterGoals:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_greedy_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        points = rng.uniform((0.0, 0.0, 0.0), (30.0, 30.0, 4.0), (n, 3))
+        expected = greedy_goal_clusters(points, GOAL_CLUSTER_RADIUS)
+        assert _cluster_goals(points).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_greedy_oracle_on_a_lattice(self, seed):
+        # Integer coordinates: squared distances are exact, many points sit
+        # exactly on the radius, and interior points tie on neighbour count.
+        rng = np.random.default_rng(seed)
+        lattice = np.argwhere(np.ones((16, 12, 3), dtype=bool)).astype(float)
+        points = lattice[rng.permutation(len(lattice))[:int(rng.integers(50, len(lattice)))]]
+        expected = greedy_goal_clusters(points, GOAL_CLUSTER_RADIUS)
+        assert len(expected) > 1
+        assert _cluster_goals(points).tobytes() == expected.tobytes()
+
+    def test_empty(self):
+        assert _cluster_goals(np.empty((0, 3))).shape == (0, 3)
+
+    def test_memory_does_not_grow_with_neighbourhood_size(self):
+        # Every point neighbours every other: per-point neighbour lists
+        # would hold 4 million entries (about 140 MB).
+        points = np.random.default_rng(0).uniform(-1.4, 1.4, (2000, 3))
+        tracemalloc.start()
+        try:
+            goals = _cluster_goals(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(goals) == 1
+        assert peak < 2_000_000
 
 
 def random_ltv(seed):

@@ -5,7 +5,10 @@ from spheremap import (FREE, OCCUPIED, UNKNOWN, BuildParams, MissionTrace,
                        OccupancyGrid, build_spheremap, check_all, reveal,
                        run_mission, sweep_positions)
 
+from spheremap.mission import _fan_directions
+
 from conftest import box_room, two_rooms_with_corridor
+from oracles import reveal_per_ray
 
 FAST_TRACE = dict(sensor_range=10.0, az_step_deg=4.0, el_step_deg=4.0,
                   el_span_deg=30.0)
@@ -34,6 +37,28 @@ class TestReveal:
         reveal(working, world, trace.waypoints[0], trace)
         behind = working.states[55:, :, :]
         assert (behind == UNKNOWN).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("where", ["inside", "outside"])
+    def test_matches_per_ray_oracle(self, seed, where):
+        # 4 m of range at 0.1 m steps is 40 samples, so rays cross several
+        # marching blocks, and most leave the 3.2 x 2.4 x 1.6 m grid.
+        rng = np.random.default_rng(seed)
+        world = OccupancyGrid(0.2, rng.uniform(-1.0, 1.0, 3),
+                              rng.choice([FREE, OCCUPIED], (16, 12, 8), p=[0.93, 0.07]))
+        if where == "inside":
+            pos = world.origin + rng.uniform(0.2, 0.8, 3) * (world.world_max() - world.origin)
+        else:
+            pos = world.world_max() + rng.uniform(0.05, 0.5, 3)
+        trace = MissionTrace(pos[None, :], sensor_range=4.0, az_step_deg=9.0,
+                             el_step_deg=9.0, el_span_deg=45.0)
+        start = rng.choice([UNKNOWN, FREE], world.states.shape, p=[0.9, 0.1]).astype(np.uint8)
+        working = OccupancyGrid(world.resolution, world.origin, start.copy())
+        expected = OccupancyGrid(world.resolution, world.origin, start.copy())
+        reveal(working, world, pos, trace)
+        reveal_per_ray(expected, world, pos, _fan_directions(trace), 0.1, 40)
+        assert np.array_equal(working.states, expected.states)
+        assert (working.states != start).any() == (where == "inside")
 
 
 class TestRunMission:

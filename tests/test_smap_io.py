@@ -1,6 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
+from spheremap import smap_io
 from spheremap import (BadMagicError, BuildParams, PayloadError, SphereMap,
                        TruncatedError, check_all, load_map, save_map)
 
@@ -92,3 +96,78 @@ def test_loaded_map_keeps_updating_like_the_original():
             m.update_iteration(grid, p)
     assert save_map(loaded) == save_map(smap)
     assert check_all(loaded, grid) == []
+
+
+def _one_node_map():
+    smap = SphereMap(BuildParams(), seed=0)
+    smap._add_node((1.0, 2.0, 3.0), 1.5)
+    return save_map(smap)
+
+
+def _float_offsets(data):
+    """Byte offsets of the first segment's centre x and radius, the first
+    portal radius and the first cached path cost in an SMAP buffer."""
+    def u32(at):
+        return struct.unpack_from("<I", data, at)[0]
+
+    pos = 4 + smap_io._PARAMS.size + smap_io._COUNTERS.size
+    pos += 4 + u32(pos) * smap_io._NODE.size
+    pos += 4 + u32(pos) * smap_io._EDGE.size
+    pos += 4
+    found = {}
+    for _ in range(u32(pos - 4)):
+        found.setdefault("segment centre", pos + 4)
+        found.setdefault("segment radius", pos + 16)
+        n_portals = u32(pos + 21)
+        pos += smap_io._SEG.size
+        if n_portals:
+            found.setdefault("portal radius", pos + 12)
+        pos += n_portals * smap_io._PORTAL.size
+        n_cache = u32(pos)
+        pos += 4
+        for _ in range(n_cache):
+            plen = struct.unpack_from("<H", data, pos + 8)[0]
+            pos += smap_io._CACHE.size + 4 * plen
+            found.setdefault("cached cost", pos)
+            pos += 4
+    assert pos == len(data)
+    return found
+
+
+@pytest.fixture(scope="module")
+def two_room_blob():
+    grid, c1, c2, _ = two_rooms_with_corridor()
+    smap = SphereMap(BuildParams(cube_side=16.0, voxel_stride=2, ray_count=0,
+                                 r_exp=3.0, r_merge=8.0))
+    for t in np.linspace(0, 1, 5):
+        smap.update_iteration(grid, c1 + t * (c2 - c1))
+    assert smap.portals and any(seg.path_cache for seg in smap.segments.values())
+    return save_map(smap)
+
+
+class TestHostileValues:
+    NODE = 4 + smap_io._PARAMS.size + smap_io._COUNTERS.size + 4
+
+    @pytest.mark.parametrize("field, value", [
+        ("x", math.inf), ("x", math.nan), ("z", -math.inf),
+        ("r", math.nan), ("r", math.inf), ("r", 0.01), ("r", -1.0)])
+    def test_bad_node_is_rejected(self, field, value):
+        data = bytearray(_one_node_map())
+        at = self.NODE + {"x": 4, "z": 12, "r": 16}[field]
+        struct.pack_into("<f", data, at, value)
+        with pytest.raises(PayloadError):
+            load_map(bytes(data))
+
+    def test_radius_at_r_min_loads(self):
+        data = bytearray(_one_node_map())
+        struct.pack_into("<f", data, self.NODE + 16, BuildParams().r_min)
+        assert load_map(bytes(data)).node_count() == 1
+
+    @pytest.mark.parametrize("field", ["segment centre", "segment radius",
+                                       "portal radius", "cached cost"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_segment_record_is_rejected(self, two_room_blob, field, value):
+        data = bytearray(two_room_blob)
+        struct.pack_into("<f", data, _float_offsets(two_room_blob)[field], value)
+        with pytest.raises(PayloadError):
+            load_map(bytes(data))

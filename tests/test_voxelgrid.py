@@ -8,6 +8,8 @@ from spheremap import (FREE, OCCUPIED, OUT_OF_BOUNDS, UNKNOWN, BadMagicError,
                        downsample, frontier_points, load_grid, obstacle_points,
                        raycast_free, save_grid)
 
+from conftest import two_rooms_with_corridor
+
 
 def make_grid(dims, state=FREE, resolution=1.0, origin=(0, 0, 0)):
     return OccupancyGrid.filled(resolution, np.asarray(origin, dtype=float), dims, state)
@@ -263,6 +265,20 @@ class TestVoxgridFormat:
         data = bytearray(save_grid(make_grid((1, 1, 1), FREE)))
         struct.pack_into("<3I", data, 4 + 32, n, n, n)
         with pytest.raises(ParseError):
+            load_grid(bytes(data))
+
+    def test_dims_beyond_the_runs_present(self):
+        # One flipped dims byte: the runs cover 182 x 42 x 17 voxels, and the
+        # header asks for 3.49 TiB.
+        data = bytearray(save_grid(two_rooms_with_corridor()[0]))
+        struct.pack_into("<3I", data, 4 + 32, 182, 1241514026, 17)
+        with pytest.raises(TruncatedError):
+            load_grid(bytes(data))
+
+    def test_zero_length_run(self):
+        data = bytearray(save_grid(make_grid((2, 2, 2), FREE)))
+        data[4 + 44:4 + 44] = bytes([FREE, 0, 0, 0, 0])
+        with pytest.raises(PayloadError):
             load_grid(bytes(data))
 
     def test_surplus_bytes(self):
