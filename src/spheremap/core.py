@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,6 +52,9 @@ class BuildParams:
     d_max: float = 2.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.r_min <= 0:
             raise ValueError("r_min must be positive")
         if self.cube_side <= 0:
@@ -108,8 +111,10 @@ class IterationReport:
     timings: dict[str, float]
     nodes_added: int = 0
     nodes_removed: int = 0
-    edge_delta: int = 0
-    segment_delta: int = 0
+    segments_split: int = 0
+    segments_created: int = 0
+    segments_merged: int = 0
+    caches_rebuilt: int = 0
     node_count: int = 0
     edge_count: int = 0
     segment_count: int = 0
@@ -610,6 +615,8 @@ class SphereMap:
         self._drop_segment(source)
 
     def _recompute_portals(self, label: int, cache_dirty: set[int]) -> None:
+        """Widest edge to each adjacent segment. Ties go to the lowest
+        (a, b), ``a`` in the lower label, so both sides pick the same edge."""
         seg = self.segments[label]
         best: dict[int, tuple[float, int, int]] = {}
         for nid in sorted(seg.members):
@@ -620,18 +627,18 @@ class SphereMap:
                     continue
                 onode = self.nodes[nb]
                 ir = geometry.intersection_radius(node.p, node.r, onode.p, onode.r)
+                a, b = (nid, nb) if label < other else (nb, nid)
                 cur = best.get(other)
-                if cur is None or ir > cur[0] or (ir == cur[0] and (nid, nb) < (cur[1], cur[2])):
-                    best[other] = (ir, nid, nb)
+                if cur is None or ir > cur[0] or (ir == cur[0] and (a, b) < cur[1:]):
+                    best[other] = (ir, a, b)
         stale = [pair for pair in self.portals if label in pair]
         for pair in stale:
             other = pair[0] if pair[1] == label else pair[1]
             if other not in best:
                 del self.portals[pair]
                 cache_dirty.add(other)
-        for other, (ir, nid, nb) in best.items():
+        for other, (ir, a, b) in best.items():
             pair = (label, other) if label < other else (other, label)
-            a, b = (nid, nb) if label < other else (nb, nid)
             new = Portal(pair, a, b, ir)
             old = self.portals.get(pair)
             if old is None or (old.a, old.b) != (a, b) or old.radius != ir:
@@ -751,7 +758,6 @@ class SphereMap:
             report.segment_count = len(self.segments)
             return report
 
-        n0, e0, s0 = self.node_count(), self.edge_count(), len(self.segments)
         t = time.perf_counter()
         obstacles = obstacle_points(grid, padded)
         frontiers = frontier_points(grid, padded, self.params.frontier_connectivity)
@@ -768,7 +774,7 @@ class SphereMap:
         timings["expand"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        self.segment_update(grid, cube)
+        segment_stats = self.segment_update(grid, cube)
         timings["segment"] = time.perf_counter() - t
 
         self.last_cube = cube
@@ -779,6 +785,8 @@ class SphereMap:
         report.node_count = self.node_count()
         report.edge_count = self.edge_count()
         report.segment_count = len(self.segments)
-        report.edge_delta = report.edge_count - e0
-        report.segment_delta = report.segment_count - s0
+        report.segments_split = segment_stats["split"]
+        report.segments_created = segment_stats["created"]
+        report.segments_merged = segment_stats["merged"]
+        report.caches_rebuilt = segment_stats["caches_rebuilt"]
         return report

@@ -1,10 +1,19 @@
-"""SMAP v1 snapshot format (little-endian).
+"""SMAP v2 snapshot format (little-endian).
 
-Canonical ordering (nodes by id, edges and cache entries sorted, segments by
-label) makes ``save`` deterministic and ``save(load(b)) == b`` bit-exact.
-Node coordinates are float32 on the wire, matching the in-memory quantization,
-so a loaded map is structurally identical to the saved one. The frontier store
-and RNG state are not part of the snapshot.
+A snapshot holds only what the map cannot derive: the build parameters, the
+id and label counters, the nodes (id, float32 centre and radius, segment
+label or none) and each segment's label and bounding sphere. Edges follow
+from the intersection rule, portals are the widest inter-segment edges and
+cached paths are optimal searches between portals, so ``load_map`` rebuilds
+them with the code that built them the first time (``_recompute_edges``,
+``_recompute_portals``, ``_rebuild_cache``). No stored copy can contradict
+the spheres, and as the map keeps its spheres at float32, the rebuilt layers
+equal the saved map's bit for bit. ``load_map`` also rejects empty or
+disconnected segments, so a loaded map whose nodes all have a segment passes
+``check_structure``.
+
+Nodes are written by id and segments by label, so ``save`` is deterministic
+and ``save(load(b)) == b``. The frontier store and RNG state are not saved.
 """
 
 from __future__ import annotations
@@ -14,19 +23,15 @@ import struct
 
 import numpy as np
 
-from .core import BuildParams, Portal, Segment, SphereMap
+from .core import BuildParams, Segment, SphereMap
 from .errors import BadMagicError, PayloadError, TruncatedError
 
-_MAGIC = b"SMP1"
+_MAGIC = b"SMP2"
 _PARAMS = struct.Struct("<9dBB3IQ")
 _U32 = struct.Struct("<I")
 _COUNTERS = struct.Struct("<II")
 _NODE = struct.Struct("<I3ffI")
-_EDGE = struct.Struct("<II")
-_SEG = struct.Struct("<I3ffBI")
-_PORTAL = struct.Struct("<IIIf")
-_CACHE = struct.Struct("<IIH")
-_F32 = struct.Struct("<f")
+_SEG = struct.Struct("<I3ff")
 _UNASSIGNED = 0xFFFFFFFF
 
 
@@ -46,34 +51,10 @@ def save_map(smap: SphereMap) -> bytes:
         seg = _UNASSIGNED if node.segment is None else node.segment
         out.append(_NODE.pack(nid, *(float(v) for v in node.p), node.r, seg))
 
-    edges = sorted(smap.edges())
-    out.append(_U32.pack(len(edges)))
-    for a, b in edges:
-        out.append(_EDGE.pack(a, b))
-
     out.append(_U32.pack(len(smap.segments)))
     for label in sorted(smap.segments):
         seg = smap.segments[label]
-        portals = []
-        for pair, portal in smap.portals.items():
-            if pair[0] == label:
-                portals.append((pair[1], portal.a, portal.b, portal.radius))
-            elif pair[1] == label:
-                portals.append((pair[0], portal.b, portal.a, portal.radius))
-        portals.sort()
-        flags = (1 if seg.altered else 0) | (2 if seg.box_dirty else 0)
-        out.append(_SEG.pack(label, *(float(v) for v in seg.center), seg.radius,
-                             flags, len(portals)))
-        for other, here, there, rad in portals:
-            out.append(_PORTAL.pack(other, here, there, rad))
-        entries = sorted(seg.path_cache.items())
-        out.append(_U32.pack(len(entries)))
-        for (n1, n2), (path, cost) in entries:
-            if len(path) > 0xFFFF:
-                raise ValueError("cached path too long for u16 length field")
-            out.append(_CACHE.pack(n1, n2, len(path)))
-            out.append(struct.pack(f"<{len(path)}I", *path))
-            out.append(_F32.pack(cost))
+        out.append(_SEG.pack(label, *(float(v) for v in seg.center), seg.radius))
     return b"".join(out)
 
 
@@ -89,9 +70,9 @@ class _Reader:
         self.pos += st.size
         return vals
 
-    def take_u32s(self, n: int):
-        st = struct.Struct(f"<{n}I")
-        return self.take(st)
+    def records(self, st: struct.Struct) -> list[tuple]:
+        (count,) = self.take(_U32)
+        return [self.take(st) for _ in range(count)]
 
 
 def _finite(*values: float) -> bool:
@@ -116,56 +97,45 @@ def load_map(data: bytes) -> SphereMap:
     except ValueError as exc:
         raise PayloadError(f"invalid params block: {exc}") from exc
     smap._next_node_id, smap._next_label = rd.take(_COUNTERS)
-
-    (n_nodes,) = rd.take(_U32)
-    for _ in range(n_nodes):
-        nid, x, y, z, r, seg = rd.take(_NODE)
-        if nid in smap.nodes:
-            raise PayloadError(f"duplicate node id {nid}")
-        if not _finite(x, y, z, r) or r < params.r_min:
-            raise PayloadError(f"node {nid} has a bad position or radius")
-        smap._add_node((x, y, z), r, nid)
-        smap.nodes[nid].segment = None if seg == _UNASSIGNED else int(seg)
-
-    (n_edges,) = rd.take(_U32)
-    for _ in range(n_edges):
-        a, b = rd.take(_EDGE)
-        if a not in smap.nodes or b not in smap.nodes or a == b:
-            raise PayloadError(f"bad edge ({a}, {b})")
-        smap.adj[a].add(b)
-        smap.adj[b].add(a)
-
-    (n_segs,) = rd.take(_U32)
-    for _ in range(n_segs):
-        label, cx, cy, cz, rad, flags, n_portals = rd.take(_SEG)
-        if not _finite(cx, cy, cz, rad):
-            raise PayloadError(f"segment {label} has a non-finite centre or radius")
-        members = {nid for nid, node in smap.nodes.items() if node.segment == label}
-        seg = Segment(label, members, np.array([cx, cy, cz], dtype=float), float(rad),
-                      altered=bool(flags & 1), box_dirty=bool(flags & 2))
-        if label in smap.segments:
-            raise PayloadError(f"duplicate segment label {label}")
-        smap.segments[label] = seg
-        for _ in range(n_portals):
-            other, here, there, prad = rd.take(_PORTAL)
-            if not _finite(prad):
-                raise PayloadError(f"portal ({label}, {other}) has a non-finite radius")
-            pair = (label, other) if label < other else (other, label)
-            a, b = (here, there) if label < other else (there, here)
-            portal = Portal(pair, a, b, float(prad))
-            existing = smap.portals.get(pair)
-            if existing is not None and (existing.a, existing.b, existing.radius) != (a, b, portal.radius):
-                raise PayloadError(f"conflicting portal records for pair {pair}")
-            smap.portals[pair] = portal
-        (n_cache,) = rd.take(_U32)
-        for _ in range(n_cache):
-            n1, n2, plen = rd.take(_CACHE)
-            ids = rd.take_u32s(plen)
-            (cost,) = rd.take(_F32)
-            if not _finite(cost):
-                raise PayloadError(f"cached path ({n1}, {n2}) has a non-finite cost")
-            seg.path_cache[(n1, n2)] = (tuple(int(i) for i in ids), float(cost))
-
+    nodes = rd.records(_NODE)
+    segs = rd.records(_SEG)
     if rd.pos != len(data):
         raise PayloadError(f"{len(data) - rd.pos} surplus bytes after payload")
+
+    for label, cx, cy, cz, rad in segs:
+        if label in smap.segments:
+            raise PayloadError(f"duplicate segment label {label}")
+        if not _finite(cx, cy, cz, rad):
+            raise PayloadError(f"segment {label} has a non-finite centre or radius")
+        if label >= smap._next_label:
+            raise PayloadError(f"segment label {label} is not below the label counter")
+        smap.segments[label] = Segment(label, set(), np.array([cx, cy, cz], dtype=float),
+                                       float(rad))
+
+    # The map clamps radii to r_cap, so this rejects no saved map; it bounds
+    # the neighbour query of each edge rebuild below to a few index cells.
+    r_cap = float(np.float32(params.r_cap))
+    for nid, x, y, z, r, label in nodes:
+        if nid in smap.nodes:
+            raise PayloadError(f"duplicate node id {nid}")
+        if nid >= smap._next_node_id:
+            raise PayloadError(f"node id {nid} is not below the id counter")
+        if not _finite(x, y, z, r) or not params.r_min <= r <= r_cap:
+            raise PayloadError(f"node {nid} has a bad position or radius")
+        if label != _UNASSIGNED and label not in smap.segments:
+            raise PayloadError(f"node {nid} names unlisted segment {label}")
+        smap._add_node((x, y, z), r, nid)
+        if label != _UNASSIGNED:
+            smap.nodes[nid].segment = label
+            smap.segments[label].members.add(nid)
+
+    for nid in sorted(smap.nodes):
+        smap._recompute_edges(nid)
+    for label, seg in smap.segments.items():
+        if len(smap._components(seg.members)) != 1:
+            raise PayloadError(f"segment {label} is empty or not connected")
+    for label in sorted(smap.segments):
+        smap._recompute_portals(label, set())
+    for label in sorted(smap.segments):
+        smap._rebuild_cache(label)
     return smap

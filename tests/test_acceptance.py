@@ -19,7 +19,7 @@ from spheremap import (FREE, BuildParams, ClearanceField, MissionTrace,
                        run_mission, save_grid, save_map, two_route_world)
 from spheremap.bench import (mission_trace_through, pick_start, sample_goal_nodes,
                              scenario_multi_goal, scenario_single_goal)
-from spheremap.core import Portal, Segment
+from spheremap.core import Segment
 from spheremap.ltv import encode, decode, encoded_size, extract, size_report
 
 from conftest import box_room
@@ -298,50 +298,26 @@ def test_criterion_9_compression_ordering(cave_mission):
 
 
 def _fuzz_smap(seed: int) -> SphereMap:
+    """A random map whose edges, segments, portals and caches come from the
+    map's own rules: segments are grown the way an update seeds them."""
     rng = np.random.default_rng(seed)
     smap = SphereMap(BuildParams(), seed=seed)
     n = int(rng.integers(0, 14))
     for _ in range(n):
         smap._add_node(rng.uniform(-40, 40, 3), float(rng.uniform(0.9, 7.5)))
-    ids = sorted(smap.nodes)
-    for _ in range(int(rng.integers(0, 2 * max(n, 1)))):
-        if n >= 2:
-            a, b = rng.choice(ids, 2, replace=False)
-            smap.adj[int(a)].add(int(b))
-            smap.adj[int(b)].add(int(a))
-    if n:
-        n_seg = int(rng.integers(1, min(n, 4) + 1))
-        labels = list(range(n_seg))
-        membership = {label: set() for label in labels}
-        for i, nid in enumerate(ids):
-            label = labels[i % n_seg]
-            membership[label].add(nid)
-            smap.nodes[nid].segment = label
-        for label in labels:
-            members = membership[label]
-            pos = np.array([smap.nodes[i].p for i in sorted(members)])
-            rad = np.array([smap.nodes[i].r for i in sorted(members)])
-            from spheremap.geometry import enclosing_sphere
-            center, radius = enclosing_sphere(pos, rad)
-            seg = Segment(label, members,
-                          np.asarray(np.asarray(center, np.float32), dtype=float),
-                          float(np.float32(radius)), altered=bool(rng.integers(2)))
-            smap.segments[label] = seg
-        smap._next_label = n_seg
-        for _ in range(int(rng.integers(0, 3))):
-            if n_seg >= 2:
-                s1, s2 = sorted(int(v) for v in rng.choice(labels, 2, replace=False))
-                a = sorted(membership[s1])[0]
-                b = sorted(membership[s2])[0]
-                smap.portals[(s1, s2)] = Portal((s1, s2), a, b,
-                                                float(np.float32(rng.uniform(0.8, 3))))
-        for label in labels:
-            endpoints = smap.segment_portal_nodes(label)
-            for i, a in enumerate(endpoints):
-                for b in endpoints[i + 1:]:
-                    path = (a, *(int(v) for v in rng.choice(ids, int(rng.integers(0, 3)))), b)
-                    smap.segments[label].path_cache[(a, b)] = \
-                        (path, float(np.float32(rng.uniform(0, 100))))
+    for nid in sorted(smap.nodes):
+        smap._recompute_edges(nid)
+    for nid in sorted(smap.nodes, key=lambda i: (-smap.nodes[i].r, i)):
+        node = smap.nodes[nid]
+        if node.segment is None:
+            label = smap._new_label()
+            smap.segments[label] = Segment(label, {nid}, node.p.copy(), node.r)
+            node.segment = label
+            smap._grow_segment(label)
+    for label in sorted(smap.segments):
+        smap._recompute_portals(label, set())
+    for label in sorted(smap.segments):
+        smap._rebuild_cache(label)
     return smap
 
 
@@ -358,7 +334,11 @@ def test_criterion_10_format_round_trips():
     for seed in range(1000):
         smap = _fuzz_smap(seed)
         data = save_map(smap)
-        assert save_map(load_map(data)) == data
+        loaded = load_map(data)
+        assert save_map(loaded) == data
+        assert loaded.adj == smap.adj and loaded.portals == smap.portals
+        assert all(loaded.segments[label].path_cache == seg.path_cache
+                   for label, seg in smap.segments.items())
 
     formula_ok = True
     for seed in range(1000):

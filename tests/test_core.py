@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from spheremap import (FREE, OCCUPIED, BuildParams, ObstacleIndex, SphereMap,
+from spheremap import (FREE, OCCUPIED, BuildParams, ObstacleIndex, Segment, SphereMap,
                        UpdateCube, check_all, plan_cached)
 from spheremap.geometry import covered_fractions
 
@@ -32,6 +34,15 @@ class TestBuildParams:
             BuildParams(kappa=0.0)
         with pytest.raises(ValueError):
             BuildParams(r_cap=0.5)
+
+    def test_non_finite_floats_are_rejected(self):
+        with pytest.raises(ValueError):
+            BuildParams(r_min=math.nan, r_cap=math.nan, d_max=math.nan)
+        for name in ("r_min", "cube_side", "r_exp", "r_merge", "kappa", "eps_r",
+                     "r_cap", "xi", "d_max"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    BuildParams(**{name: value})
 
 
 class TestEdgeRule:
@@ -152,6 +163,12 @@ class TestUpdateIteration:
         assert deltas[-1] == (0, 0)
         assert check_all(smap, small_room) == []
 
+    def test_report_carries_segment_update_stats(self, small_room):
+        smap = make_map()
+        rep = smap.update_iteration(small_room, np.array([4.0, 4.0, 1.5]))
+        assert rep.segments_created >= 1
+        assert rep.caches_rebuilt == rep.segment_count == len(smap.segments)
+
     def test_degenerate_cube_is_noop(self, small_room):
         smap = make_map()
         rep = smap.update_iteration(small_room, np.array([999.0, 999.0, 999.0]))
@@ -216,6 +233,21 @@ class TestSegmentation:
         assert len(smap.portals) == 0
         seg = next(iter(smap.segments.values()))
         assert len(seg.members) == smap.node_count()
+
+    def test_tied_portal_edges_pick_the_same_edge_from_either_side(self):
+        # Edges (0, 3) and (1, 2) are mirror images with equal intersection
+        # radii; the portal is (0, 3) whichever segment recomputes it.
+        smap = make_map()
+        for label in (0, 1):
+            smap.segments[label] = Segment(label, set(), np.zeros(3), 0.0)
+        for p, label in (((0, 0, 0), 0), ((0, 3, 0), 0), ((1.5, 3, 0), 1), ((1.5, 0, 0), 1)):
+            nid = add_node(smap, p, 2.0, label)
+            smap.segments[label].members.add(nid)
+        assert 3 in smap.adj[0] and 2 in smap.adj[1]
+        for label in (1, 0, 1):
+            smap._recompute_portals(label, set())
+            portal = smap.portals[(0, 1)]
+            assert (portal.a, portal.b) == (0, 3)
 
     def test_two_rooms_make_multiple_segments_with_portals(self):
         grid, c1, c2, _ = two_rooms_with_corridor()

@@ -2,7 +2,8 @@
 
 Each property takes a small valid payload, overwrites one to three bytes
 and may cut it short; the decoder must then either return or raise a
-``ParseError``. Anything else escaping is a bug in the decoder.
+``ParseError``. Anything else escaping is a bug in the decoder. A sphere map
+that loads must also pass ``check_structure``.
 """
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spheremap import (BuildParams, ParseError, SphereMap, decode, encode, extract,
-                       load_grid, load_map, save_grid, save_map)
+from spheremap import (BuildParams, ParseError, SphereMap, check_structure, decode, encode,
+                       extract, load_grid, load_map, save_grid, save_map)
 
 from conftest import two_rooms_with_corridor
 
@@ -28,7 +29,7 @@ def corrupted(draw, payload: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def payloads():
-    # Four segments, three portals and two cached paths in 3.7 kB.
+    # Four segments, three portals and two cached paths in 1.6 kB.
     grid, c1, c2, _ = two_rooms_with_corridor(room=6.0, corridor_len=16.0, resolution=0.4)
     smap = SphereMap(BuildParams(cube_side=16.0, voxel_stride=4, ray_count=0,
                                  r_exp=3.0, r_merge=6.0))
@@ -50,6 +51,19 @@ def _raises_only_parse_errors(decoder, data):
 @given(data=st.data())
 def test_load_map(payloads, data):
     _raises_only_parse_errors(load_map, data.draw(corrupted(payloads["smap"])))
+
+
+@given(data=st.data())
+def test_loaded_map_passes_check_structure(payloads, data):
+    try:
+        smap = load_map(data.draw(corrupted(payloads["smap"])))
+    except ParseError:
+        return
+    assert check_structure(smap) == []
+
+
+def test_saved_map_loads_structurally_valid(payloads):
+    assert check_structure(load_map(payloads["smap"])) == []
 
 
 @given(data=st.data())

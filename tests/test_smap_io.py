@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spheremap import smap_io
-from spheremap import (BadMagicError, BuildParams, PayloadError, SphereMap,
+from spheremap import (BadMagicError, BuildParams, PayloadError, Segment, SphereMap,
                        TruncatedError, check_all, load_map, save_map)
 
 from conftest import box_room, two_rooms_with_corridor
@@ -34,11 +34,14 @@ def assert_maps_equal(a, b):
         assert sa.members == sb.members
         assert sa.path_cache.keys() == sb.path_cache.keys()
         for key in sa.path_cache:
-            assert sa.path_cache[key][0] == sb.path_cache[key][0]
+            (path_a, cost_a), (path_b, cost_b) = sa.path_cache[key], sb.path_cache[key]
+            assert path_a == path_b
+            assert struct.pack("<d", cost_a) == struct.pack("<d", cost_b)
     assert sorted(a.portals) == sorted(b.portals)
     for pair in a.portals:
         pa, pb = a.portals[pair], b.portals[pair]
         assert (pa.a, pa.b) == (pb.a, pb.b)
+        assert struct.pack("<d", pa.radius) == struct.pack("<d", pb.radius)
 
 
 class TestSmapFormat:
@@ -66,6 +69,11 @@ class TestSmapFormat:
         data = save_map(SphereMap())
         with pytest.raises(BadMagicError):
             load_map(b"NOPE" + data[4:])
+
+    def test_v1_buffer_is_rejected(self):
+        data = save_map(build_small_map())
+        with pytest.raises(BadMagicError):
+            load_map(b"SMP1" + data[4:])
 
     def test_truncated(self):
         data = save_map(build_small_map())
@@ -105,44 +113,28 @@ def _one_node_map():
 
 
 def _float_offsets(data):
-    """Byte offsets of the first segment's centre x and radius, the first
-    portal radius and the first cached path cost in an SMAP buffer."""
-    def u32(at):
-        return struct.unpack_from("<I", data, at)[0]
-
+    """Byte offsets of the first segment's centre x and radius in an SMAP buffer."""
     pos = 4 + smap_io._PARAMS.size + smap_io._COUNTERS.size
-    pos += 4 + u32(pos) * smap_io._NODE.size
-    pos += 4 + u32(pos) * smap_io._EDGE.size
-    pos += 4
-    found = {}
-    for _ in range(u32(pos - 4)):
-        found.setdefault("segment centre", pos + 4)
-        found.setdefault("segment radius", pos + 16)
-        n_portals = u32(pos + 21)
-        pos += smap_io._SEG.size
-        if n_portals:
-            found.setdefault("portal radius", pos + 12)
-        pos += n_portals * smap_io._PORTAL.size
-        n_cache = u32(pos)
-        pos += 4
-        for _ in range(n_cache):
-            plen = struct.unpack_from("<H", data, pos + 8)[0]
-            pos += smap_io._CACHE.size + 4 * plen
-            found.setdefault("cached cost", pos)
-            pos += 4
-    assert pos == len(data)
-    return found
+    pos += 4 + struct.unpack_from("<I", data, pos)[0] * smap_io._NODE.size
+    n_segs = struct.unpack_from("<I", data, pos)[0]
+    assert pos + 4 + n_segs * smap_io._SEG.size == len(data)
+    return {"segment centre": pos + 8, "segment radius": pos + 20}
 
 
 @pytest.fixture(scope="module")
-def two_room_blob():
+def two_room_map():
     grid, c1, c2, _ = two_rooms_with_corridor()
     smap = SphereMap(BuildParams(cube_side=16.0, voxel_stride=2, ray_count=0,
                                  r_exp=3.0, r_merge=8.0))
     for t in np.linspace(0, 1, 5):
         smap.update_iteration(grid, c1 + t * (c2 - c1))
     assert smap.portals and any(seg.path_cache for seg in smap.segments.values())
-    return save_map(smap)
+    return smap
+
+
+@pytest.fixture(scope="module")
+def two_room_blob(two_room_map):
+    return save_map(two_room_map)
 
 
 class TestHostileValues:
@@ -150,7 +142,8 @@ class TestHostileValues:
 
     @pytest.mark.parametrize("field, value", [
         ("x", math.inf), ("x", math.nan), ("z", -math.inf),
-        ("r", math.nan), ("r", math.inf), ("r", 0.01), ("r", -1.0)])
+        ("r", math.nan), ("r", math.inf), ("r", 0.01), ("r", -1.0),
+        ("r", float(np.nextafter(np.float32(BuildParams().r_cap), np.float32(math.inf))))])
     def test_bad_node_is_rejected(self, field, value):
         data = bytearray(_one_node_map())
         at = self.NODE + {"x": 4, "z": 12, "r": 16}[field]
@@ -163,11 +156,62 @@ class TestHostileValues:
         struct.pack_into("<f", data, self.NODE + 16, BuildParams().r_min)
         assert load_map(bytes(data)).node_count() == 1
 
-    @pytest.mark.parametrize("field", ["segment centre", "segment radius",
-                                       "portal radius", "cached cost"])
+    @pytest.mark.parametrize("field", ["segment centre", "segment radius"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_segment_record_is_rejected(self, two_room_blob, field, value):
         data = bytearray(two_room_blob)
         struct.pack_into("<f", data, _float_offsets(two_room_blob)[field], value)
         with pytest.raises(PayloadError):
             load_map(bytes(data))
+
+    def test_radius_at_r_cap_loads(self):
+        data = bytearray(_one_node_map())
+        struct.pack_into("<f", data, self.NODE + 16, BuildParams().r_cap)
+        assert load_map(bytes(data)).node_count() == 1
+
+
+COUNTERS = 4 + smap_io._PARAMS.size
+
+
+class TestReferentialIntegrity:
+    @pytest.mark.parametrize("next_node_id, next_label", [(0, 0), (0, 10**6), (10**6, 0)])
+    def test_counters_colliding_with_stored_ids_are_rejected(self, two_room_blob,
+                                                             next_node_id, next_label):
+        data = bytearray(two_room_blob)
+        struct.pack_into("<II", data, COUNTERS, next_node_id, next_label)
+        with pytest.raises(PayloadError):
+            load_map(bytes(data))
+
+    def test_counters_above_stored_ids_load(self, two_room_blob):
+        data = bytearray(two_room_blob)
+        struct.pack_into("<II", data, COUNTERS, 10**6, 10**6)
+        smap = load_map(bytes(data))
+        assert (smap._next_node_id, smap._next_label) == (10**6, 10**6)
+
+    def test_label_of_unlisted_segment_is_rejected(self, two_room_blob):
+        smap = load_map(two_room_blob)
+        smap._next_label += 1000
+        smap.nodes[min(smap.nodes)].segment = smap._next_label - 1
+        with pytest.raises(PayloadError):
+            load_map(save_map(smap))
+
+    def test_disconnected_segment_is_rejected(self, two_room_blob):
+        smap = load_map(two_room_blob)
+        label = min(smap.segments)
+        far = smap._add_node((100.0, 100.0, 100.0), 1.0)
+        smap.nodes[far].segment = label
+        smap.segments[label].members.add(far)
+        with pytest.raises(PayloadError):
+            load_map(save_map(smap))
+
+    def test_empty_segment_is_rejected(self, two_room_blob):
+        smap = load_map(two_room_blob)
+        label = smap._next_label
+        smap.segments[label] = Segment(label, set(), np.zeros(3), 1.0)
+        smap._next_label += 1
+        with pytest.raises(PayloadError):
+            load_map(save_map(smap))
+
+    def test_rebuilt_portals_and_caches_equal_the_saved_ones(self, two_room_map,
+                                                            two_room_blob):
+        assert_maps_equal(two_room_map, load_map(two_room_blob))

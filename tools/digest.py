@@ -1,0 +1,83 @@
+"""Digests of the maps and plans one benchmark pass produces.
+
+    python3 tools/digest.py <repo-root> <workload>...
+
+For each workload of ``<repo-root>/perfbench/workloads.py`` this runs set-up
+and the first pass at seed 1 with the spheremap sources of
+``<repo-root>/src``, then prints one line of SHA-1 digests:
+
+- ``structure``: nodes, edges, segments, portals and path caches of the
+  pass's map, hashed from the map objects (not from SMAP bytes), so two
+  snapshot formats that hold the same map give the same digest. Segment
+  bounding spheres enter at float32, the precision SMAP keeps;
+- ``loaded``: the same digest of ``load_map(save_map(map))``, and
+  ``problems``, the number of ``check_structure`` problems of that map;
+- ``plans``: the cost and waypoints of every plan of set-up and the pass;
+- ``ltv``: the encoded LTV export of the map.
+
+Run it on two checkouts to check that a change keeps the same maps and
+plans: every digest but ``loaded`` should match, and ``loaded`` should equal
+``structure`` with no problems.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def structure_digest(smap) -> str:
+    h = hashlib.sha1()
+    for nid in sorted(smap.nodes):
+        node = smap.nodes[nid]
+        h.update(repr((nid, node.p.tolist(), node.r, node.segment,
+                       sorted(smap.adj[nid]))).encode())
+    for label in sorted(smap.segments):
+        seg = smap.segments[label]
+        center = np.asarray(seg.center, dtype=np.float32).tolist()
+        h.update(repr((label, sorted(seg.members), center, float(np.float32(seg.radius)),
+                       sorted(seg.path_cache.items()))).encode())
+    for pair in sorted(smap.portals):
+        portal = smap.portals[pair]
+        h.update(repr((pair, portal.a, portal.b, portal.radius)).encode())
+    return h.hexdigest()
+
+
+def plans_digest(plans) -> str:
+    h = hashlib.sha1()
+    for mode, start, goal, res in plans:
+        h.update(repr((mode, np.asarray(start).tolist(), np.asarray(goal).tolist())).encode())
+        h.update(b"none" if res is None
+                 else repr((res.cost, res.waypoints.tolist())).encode())
+    return h.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from spheremap import ltv, smap_io, validate
+    from tracing import Tracer
+    from workloads import WORKLOADS, Runner
+
+    for name in argv[1:]:
+        runner = Runner(WORKLOADS[name], 1, Tracer())
+        scene = runner.setup()
+        done = runner.run_pass(scene)
+        plans = (scene.log.plans if scene.log is not None else []) + done.log.plans
+        loaded = smap_io.load_map(smap_io.save_map(done.smap))
+        ltv_sha = hashlib.sha1(ltv.encode(ltv.extract(done.smap))).hexdigest()
+        print(f"{name} structure {structure_digest(done.smap)} "
+              f"loaded {structure_digest(loaded)} "
+              f"problems {len(validate.check_structure(loaded))} "
+              f"plans {plans_digest(plans)} ({len(plans)} plans) ltv {ltv_sha}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
