@@ -16,7 +16,7 @@ from .spatial import NodeIndex, ObstacleIndex
 from .validate import check_all, check_clearance, check_structure
 from .voxelgrid import (FREE, OCCUPIED, OUT_OF_BOUNDS, UNKNOWN, OccupancyGrid,
                         UpdateCube, downsample, frontier_points, load_grid,
-                        obstacle_points, raycast_free, save_grid)
+                        obstacle_points, raycast_free, save_grid, surface_points)
 from .worlds import (WorldSpec, generate_world, largest_free_component_fraction,
                      two_route_world)
 

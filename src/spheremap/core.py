@@ -22,8 +22,8 @@ import numpy as np
 
 from . import geometry, planner
 from .spatial import NodeIndex, ObstacleIndex
-from .voxelgrid import (FREE, OccupancyGrid, UpdateCube, frontier_points,
-                        obstacle_points, raycast_free)
+from .voxelgrid import (FREE, OCCUPIED, OccupancyGrid, UpdateCube, frontier_points,
+                        raycast_free, surface_points)
 
 
 @dataclass
@@ -281,13 +281,20 @@ class SphereMap:
     # step 1: radius update and pruning
     # ------------------------------------------------------------------
 
-    def recompute_and_prune(self, index: ObstacleIndex, cube: UpdateCube) -> dict:
+    def recompute_and_prune(self, index: ObstacleIndex, grid: OccupancyGrid,
+                            cube: UpdateCube) -> dict:
+        """Re-measure the cube's nodes and drop the unsafe and the redundant.
+
+        ``index`` may hold only the obstacle surface, which is exact outside
+        rock only, so a node whose centre voxel is occupied counts as unsafe.
+        """
         stats = {"removed_unsafe": 0, "removed_redundant": 0, "radius_changed": 0}
         ids = sorted(self.nodes_in_cube(cube))
         if not ids:
             return stats
         pos = np.array([self.nodes[i].p for i in ids])
         dists = np.minimum(index.nearest_distances(pos), self.params.r_cap)
+        dists[grid.states_at(pos) == OCCUPIED] = 0.0
         changed = []
         for nid, dist in zip(ids, dists):
             r_new = float(np.float32(dist))
@@ -395,12 +402,7 @@ class SphereMap:
             uav = np.asarray(uav, dtype=float)
             steps = np.arange(1, p.samples_per_ray + 1) * (cube.side / 2.0 / p.samples_per_ray)
             pts = uav[None, None, :] + dirs[:, None, :] * steps[None, :, None]
-            idx = np.floor((pts - grid.origin) / grid.resolution).astype(int)
-            dims = np.asarray(grid.states.shape)
-            inb = np.all((idx >= 0) & (idx < dims), axis=2)
-            safe = np.clip(idx, 0, dims - 1)
-            states = grid.states[safe[..., 0], safe[..., 1], safe[..., 2]]
-            blocked = (~inb) | (states != FREE)
+            blocked = grid.states_at(pts) != FREE
             stop = np.where(blocked.any(axis=1), blocked.argmax(axis=1), p.samples_per_ray)
             keep = np.arange(p.samples_per_ray)[None, :] < stop[:, None]
             if keep.any():
@@ -423,8 +425,10 @@ class SphereMap:
         cands, radii = cands[order], radii[order]
         # A live node at the exact candidate position with the same (fresh)
         # radius fully covers it; this catches nearly every lattice candidate
-        # once the cube has converged.
-        twin_r = {node.p.tobytes(): node.r for node in self.nodes.values()}
+        # once the cube has converged. Candidates lie at most half a voxel
+        # outside the cube, so their twins lie in the cube padded by a voxel.
+        near = sorted(self.nodes_in_cube(cube.padded(grid.resolution)))
+        twin_r = {self.nodes[i].p.tobytes(): self.nodes[i].r for i in near}
         fresh = np.array([twin_r.get(p.tobytes(), -1.0) < r
                           for p, r in zip(cands, radii)])
         witness = np.full(len(cands), -1, dtype=np.int64)
@@ -759,14 +763,13 @@ class SphereMap:
             return report
 
         t = time.perf_counter()
-        obstacles = obstacle_points(grid, padded)
         frontiers = frontier_points(grid, padded, self.params.frontier_connectivity)
-        index = ObstacleIndex.build(obstacles, frontiers)
+        index = ObstacleIndex.build(surface_points(grid, padded), frontiers)
         self._update_frontier_store(padded, frontiers)
         timings["extract"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        prune_stats = self.recompute_and_prune(index, cube)
+        prune_stats = self.recompute_and_prune(index, grid, cube)
         timings["prune"] = time.perf_counter() - t
 
         t = time.perf_counter()

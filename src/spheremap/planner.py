@@ -495,12 +495,7 @@ def rrt_star(grid: OccupancyGrid, start, goal, params: PlannerParams,
         n = max(2, int(math.ceil(d / spacing)) + 1)
         ts = np.linspace(0.0, 1.0, n)
         pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-        idx = np.floor((pts - grid.origin) / grid.resolution).astype(int)
-        dims = np.asarray(grid.states.shape)
-        if np.any(idx < 0) or np.any(idx >= dims):
-            return False
-        states = grid.states[idx[:, 0], idx[:, 1], idx[:, 2]]
-        if np.any(states != FREE):
+        if np.any(grid.states_at(pts) != FREE):
             return False
         return bool(np.all(field.nearest_distances(pts) > params.r_min))
 

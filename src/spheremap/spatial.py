@@ -1,13 +1,13 @@
 """Nearest-neighbor structures.
 
 ``ObstacleIndex`` is a static k-d tree over obstacle and frontier points and
-the one clearance source: map updates build it over each padded update cube,
-and the grid baselines (through its subclass ``planner.ClearanceField``), the
-clearance invariant check and the benchmark scenarios build it over a whole
-grid (``voxelgrid.grid_obstacles``). ``NodeIndex`` is a dynamic
-bucketed spatial hash over sphere centers with exact vectorized
-post-filtering; all queries match a linear scan, with distance ties broken
-by lower id.
+the one clearance source: map updates build it over the obstacle surface of
+each padded update cube (``voxelgrid.surface_points``), and the grid
+baselines (through its subclass ``planner.ClearanceField``), the clearance
+invariant check and the benchmark scenarios over a whole grid
+(``voxelgrid.grid_obstacles``). ``NodeIndex`` is a dynamic bucketed spatial
+hash over sphere centers with exact vectorized post-filtering; all queries
+match a linear scan, with distance ties broken by lower id.
 """
 
 from __future__ import annotations

@@ -76,6 +76,15 @@ class OccupancyGrid:
             return OUT_OF_BOUNDS
         return int(self.states[idx])
 
+    def states_at(self, pts) -> np.ndarray:
+        """Vectorized :meth:`state_at` over an (..., 3) point array."""
+        idx = np.floor((np.asarray(pts, dtype=float) - self.origin) / self.resolution).astype(int)
+        dims = np.asarray(self.states.shape)
+        inb = np.all((idx >= 0) & (idx < dims), axis=-1)
+        safe = np.clip(idx, 0, dims - 1)
+        return np.where(inb, self.states[safe[..., 0], safe[..., 1], safe[..., 2]],
+                        OUT_OF_BOUNDS)
+
     def copy(self) -> "OccupancyGrid":
         return OccupancyGrid(self.resolution, self.origin.copy(), self.states.copy())
 
@@ -125,14 +134,43 @@ def _centroids(grid: OccupancyGrid, mask: np.ndarray, offset) -> np.ndarray:
     return grid.origin + grid.resolution * (idx + np.asarray(offset) + 0.5)
 
 
+def _neighbours(slab: np.ndarray, offsets):
+    """Views of ``slab`` shifted by each offset, aligned with its one-voxel-inset core."""
+    nx, ny, nz = (n - 2 for n in slab.shape)
+    for dx, dy, dz in offsets:
+        yield slab[1 + dx:nx + 1 + dx, 1 + dy:ny + 1 + dy, 1 + dz:nz + 1 + dz]
+
+
 def obstacle_points(grid: OccupancyGrid, cube: UpdateCube) -> np.ndarray:
-    """Centroids of occupied voxels inside the cube, one point per voxel."""
+    """Centroids of occupied voxels inside the cube, one point per voxel: the
+    clearance yardstick, kept whole to check the :func:`surface_points` map updates index."""
     rng = cube.voxel_range(grid)
     if rng is None:
         return np.empty((0, 3), dtype=float)
     (i0, j0, k0), (i1, j1, k1) = rng
     sub = grid.states[i0:i1, j0:j1, k0:k1]
     return _centroids(grid, sub == OCCUPIED, (i0, j0, k0))
+
+
+def surface_points(grid: OccupancyGrid, cube: UpdateCube) -> np.ndarray:
+    """Centroids of the occupied voxels of the cube with a face neighbour that
+    is not occupied or lies outside the cube.
+
+    From a point strictly outside every occupied cell, the nearest of these
+    is exactly (bit for bit) as near as the nearest :func:`obstacle_points`:
+    a buried voxel has a face neighbour, occupied and in the cube, strictly
+    nearer to the point. Inside an occupied cell that fails, so callers
+    test such points against the grid.
+    """
+    rng = cube.voxel_range(grid)
+    if rng is None:
+        return np.empty((0, 3), dtype=float)
+    (i0, j0, k0), (i1, j1, k1) = rng
+    occupied = np.pad(grid.states[i0:i1, j0:j1, k0:k1] == OCCUPIED, 1)
+    buried = occupied[1:-1, 1:-1, 1:-1].copy()
+    for nb in _neighbours(occupied, _FACE_OFFSETS):
+        buried &= nb
+    return _centroids(grid, occupied[1:-1, 1:-1, 1:-1] & ~buried, (i0, j0, k0))
 
 
 def frontier_points(grid: OccupancyGrid, cube: UpdateCube, connectivity: int = 6) -> np.ndarray:
@@ -164,11 +202,8 @@ def frontier_points(grid: OccupancyGrid, cube: UpdateCube, connectivity: int = 6
         offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                    for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
     near_unknown = np.zeros(core.shape, dtype=bool)
-    for dx, dy, dz in offsets:
-        sl = slab[1 + dx:core.shape[0] + 1 + dx,
-                  1 + dy:core.shape[1] + 1 + dy,
-                  1 + dz:core.shape[2] + 1 + dz]
-        near_unknown |= sl == UNKNOWN
+    for nb in _neighbours(slab, offsets):
+        near_unknown |= nb == UNKNOWN
     return _centroids(grid, (core == FREE) & near_unknown, (i0, j0, k0))
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spheremap import (FREE, OCCUPIED, BuildParams, ObstacleIndex, Segment, SphereMap,
-                       UpdateCube, check_all, plan_cached)
+from spheremap import (FREE, OCCUPIED, BuildParams, ObstacleIndex, OccupancyGrid, Segment,
+                       SphereMap, UpdateCube, check_all, plan_cached)
 from spheremap.geometry import covered_fractions
 
 from conftest import box_room, spherical_cavity, two_rooms_with_corridor
@@ -22,6 +22,11 @@ def add_node(smap, p, r, segment=None):
     if segment is not None:
         smap.nodes[nid].segment = segment
     return nid
+
+
+def open_space():
+    """All-free grid spanning [-10, 10] m on every axis."""
+    return OccupancyGrid.filled(0.5, (-10.0, -10.0, -10.0), (40, 40, 40), FREE)
 
 
 class TestBuildParams:
@@ -94,7 +99,7 @@ class TestRecomputeAndPrune:
         smap = make_map()
         add_node(smap, (5, 5, 5), 2.0)
         index = ObstacleIndex(np.array([[5.0, 5.0, 5.0]]))
-        stats = smap.recompute_and_prune(index, UpdateCube((5, 5, 5), 10.0))
+        stats = smap.recompute_and_prune(index, open_space(), UpdateCube((5, 5, 5), 10.0))
         assert stats["removed_unsafe"] == 1
         assert smap.node_count() == 0
 
@@ -106,7 +111,7 @@ class TestRecomputeAndPrune:
         # single obstacle far away: both radii grow to the oracle distance
         obstacle = np.array([[0.0, 0.0, -4.0]])
         index = ObstacleIndex(obstacle)
-        smap.recompute_and_prune(index, UpdateCube((1.2, 0, 0), 12.0))
+        smap.recompute_and_prune(index, open_space(), UpdateCube((1.2, 0, 0), 12.0))
         assert smap.nodes[a].r == pytest.approx(4.0, abs=1e-6)
         expected_b = float(np.linalg.norm(np.array([2.4, 0, 0]) - obstacle[0]))
         assert smap.nodes[b].r == pytest.approx(expected_b, abs=1e-5)
@@ -117,10 +122,26 @@ class TestRecomputeAndPrune:
         near = add_node(smap, (0.2, 0, 0), 1.2)   # ends up closer to the obstacle
         far = add_node(smap, (0, 0, 0), 1.0)      # grows past it and contains it
         index = ObstacleIndex(np.array([[6.0, 0.0, 0.0]]))
-        smap.recompute_and_prune(index, UpdateCube((0, 0, 0), 8.0))
+        smap.recompute_and_prune(index, open_space(), UpdateCube((0, 0, 0), 8.0))
         assert near not in smap.nodes
         assert far in smap.nodes
         assert smap.nodes[far].r == pytest.approx(6.0, abs=1e-6)
+
+    def test_node_sealed_in_rock_is_removed(self):
+        # The update indexes only the obstacle surface. A node buried in a
+        # solid block lies 1.8 m (> r_min) from every surface voxel, so only
+        # the centre-voxel check catches it.
+        grid = box_room((12.0, 12.0, 12.0))
+        smap = make_map()
+        nid = add_node(smap, (6.1, 6.1, 6.1), 1.5)
+        grid.states[21:41, 21:41, 21:41] = OCCUPIED   # voxel centres 4.1 .. 7.9 m
+        stats = []
+        prune = smap.recompute_and_prune
+        smap.recompute_and_prune = lambda *args: stats.append(prune(*args)) or stats[-1]
+        smap.update_iteration(grid, np.array([2.0, 2.0, 2.0]))
+        assert nid not in smap.nodes
+        assert stats[0]["removed_unsafe"] == 1
+        assert check_all(smap, grid) == []
 
 
 class TestExpand:

@@ -2,11 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spheremap import (FREE, OCCUPIED, OUT_OF_BOUNDS, UNKNOWN, BadMagicError,
-                       OccupancyGrid, ParseError, PayloadError, TruncatedError, UpdateCube,
-                       downsample, frontier_points, load_grid, obstacle_points,
-                       raycast_free, save_grid)
+                       ObstacleIndex, OccupancyGrid, ParseError, PayloadError, TruncatedError,
+                       UpdateCube, downsample, frontier_points, load_grid, obstacle_points,
+                       raycast_free, save_grid, surface_points)
 
 from conftest import two_rooms_with_corridor
 
@@ -36,6 +39,13 @@ class TestStateAt:
         grid.states[0, 0, 0] = OCCUPIED
         assert grid.state_at((1.5, 0.5, 0.5)) == FREE
         assert grid.state_at((0.5, 0.5, 0.5)) == OCCUPIED
+
+    def test_vectorized_matches_scalar(self):
+        grid = make_grid((2, 1, 1), FREE)
+        grid.states[0, 0, 0] = OCCUPIED
+        pts = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [2.0, 0.5, 0.5], [-0.1, 0.5, 0.5]])
+        assert grid.states_at(pts).tolist() == [grid.state_at(p) for p in pts]
+        assert grid.states_at(pts.reshape(2, 2, 3)).shape == (2, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,6 +79,94 @@ class TestObstaclePoints:
         cube = UpdateCube((1.0, 1.0, 1.0), 2.0)
         pts = obstacle_points(grid, cube)
         assert len(pts) == 8
+
+
+def brute_force_surface(grid, cube):
+    """Occupied voxels of the cube with a face neighbour that is outside the
+    cube or not occupied, by a straight scan."""
+    (i0, j0, k0), (i1, j1, k1) = cube.voxel_range(grid)
+    out = set()
+    for i in range(i0, i1):
+        for j in range(j0, j1):
+            for k in range(k0, k1):
+                if grid.states[i, j, k] != OCCUPIED:
+                    continue
+                for di, dj, dk in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                   (0, -1, 0), (0, 0, 1), (0, 0, -1)):
+                    a, b, c = i + di, j + dj, k + dk
+                    if not (i0 <= a < i1 and j0 <= b < j1 and k0 <= c < k1) \
+                            or grid.states[a, b, c] != OCCUPIED:
+                        out.add(tuple(grid.voxel_center((i, j, k))))
+                        break
+    return out
+
+
+class TestSurfacePoints:
+    def test_solid_block_keeps_its_shell(self):
+        grid = make_grid((7, 7, 7), FREE)
+        grid.states[1:6, 1:6, 1:6] = OCCUPIED
+        got = {tuple(p) for p in surface_points(grid, full_cube(grid))}
+        assert len(got) == 5 ** 3 - 3 ** 3
+        assert (3.5, 3.5, 3.5) not in got
+
+    def test_cube_edge_counts_as_open(self):
+        # Voxels of a solid grid are surface where the cube cuts them off.
+        grid = make_grid((10, 10, 10), OCCUPIED)
+        cube = UpdateCube((5.0, 5.0, 5.0), 4.0)
+        got = {tuple(p) for p in surface_points(grid, cube)}
+        assert got == brute_force_surface(grid, cube)
+        assert len(got) == 4 ** 3 - 2 ** 3
+
+    def test_subset_of_obstacle_points_bit_for_bit(self):
+        grid, _, _, _ = two_rooms_with_corridor(room=4.0, corridor_len=4.0)
+        cube = UpdateCube((6.0, 2.0, 1.5), 5.0)
+        full = {p.tobytes() for p in obstacle_points(grid, cube)}
+        thin = surface_points(grid, cube)
+        assert 0 < len(thin) < len(full)
+        assert {p.tobytes() for p in thin} <= full
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_grids_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_grid((8, 7, 6), UNKNOWN, resolution=0.4, origin=(-1.0, 0.3, 2.0))
+        grid.states[:] = rng.choice([UNKNOWN, FREE, OCCUPIED], p=[0.1, 0.2, 0.7],
+                                    size=grid.states.shape)
+        cube = UpdateCube(grid.origin + rng.uniform(0.0, 3.0, 3), 2.0)
+        got = {tuple(p) for p in surface_points(grid, cube)}
+        assert got == brute_force_surface(grid, cube)
+
+
+@st.composite
+def grids_with_cubes(draw):
+    """Small grids of mixed states with a solid box in them, and a cube that
+    may be clipped by the grid edge or cut through the solid."""
+    states = draw(arrays(np.uint8, st.tuples(*[st.integers(1, 7)] * 3),
+                         elements=st.sampled_from([UNKNOWN, FREE, OCCUPIED])))
+    lo = [draw(st.integers(0, n - 1)) for n in states.shape]
+    hi = [draw(st.integers(a + 1, n)) for a, n in zip(lo, states.shape)]
+    states[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = OCCUPIED
+    resolution = draw(st.sampled_from([0.2, 0.4, 1.0]))
+    origin = np.array(draw(st.tuples(*[st.floats(-50.0, 50.0)] * 3)))
+    grid = OccupancyGrid(resolution, origin, states)
+    extent = grid.world_max() - grid.world_min()
+    center = grid.origin + extent * np.array(draw(st.tuples(*[st.floats(-0.2, 1.2)] * 3)))
+    side = draw(st.floats(0.5, 1.5)) * float(extent.max())
+    return grid, UpdateCube(center, side), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestSurfaceExactness:
+    @given(grids_with_cubes())
+    def test_thinned_index_gives_bit_equal_distances(self, case):
+        grid, cube, seed = case
+        frontiers = frontier_points(grid, cube)
+        thin = ObstacleIndex.build(surface_points(grid, cube), frontiers)
+        full = ObstacleIndex.build(obstacle_points(grid, cube), frontiers)
+        open_cells = np.argwhere(grid.states != OCCUPIED)
+        inside = np.random.default_rng(seed).uniform(0.01, 0.99, size=open_cells.shape)
+        queries = np.concatenate([grid.origin + grid.resolution * (open_cells + 0.5),
+                                  grid.origin + grid.resolution * (open_cells + inside)])
+        assert np.array_equal(thin.nearest_distances(queries),
+                              full.nearest_distances(queries))
 
 
 def brute_force_frontiers(grid):
