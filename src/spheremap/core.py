@@ -425,10 +425,8 @@ class SphereMap:
         cands, radii = cands[order], radii[order]
         # A live node at the exact candidate position with the same (fresh)
         # radius fully covers it; this catches nearly every lattice candidate
-        # once the cube has converged. Candidates lie at most half a voxel
-        # outside the cube, so their twins lie in the cube padded by a voxel.
-        near = sorted(self.nodes_in_cube(cube.padded(grid.resolution)))
-        twin_r = {self.nodes[i].p.tobytes(): self.nodes[i].r for i in near}
+        # once the cube has converged.
+        twin_r = {node.p.tobytes(): node.r for node in self.nodes.values()}
         fresh = np.array([twin_r.get(p.tobytes(), -1.0) < r
                           for p, r in zip(cands, radii)])
         witness = np.full(len(cands), -1, dtype=np.int64)

@@ -71,13 +71,10 @@ class OccupancyGrid:
 
     def state_at(self, p) -> int:
         """State of the voxel containing ``p``; OUT_OF_BOUNDS outside the volume."""
-        idx = self.world_to_voxel(p)
-        if idx is None:
-            return OUT_OF_BOUNDS
-        return int(self.states[idx])
+        return int(self.states_at(p))
 
     def states_at(self, pts) -> np.ndarray:
-        """Vectorized :meth:`state_at` over an (..., 3) point array."""
+        """:meth:`state_at` of every point of an (..., 3) array."""
         idx = np.floor((np.asarray(pts, dtype=float) - self.origin) / self.resolution).astype(int)
         dims = np.asarray(self.states.shape)
         inb = np.all((idx >= 0) & (idx < dims), axis=-1)

@@ -40,12 +40,13 @@ class TestStateAt:
         assert grid.state_at((1.5, 0.5, 0.5)) == FREE
         assert grid.state_at((0.5, 0.5, 0.5)) == OCCUPIED
 
-    def test_vectorized_matches_scalar(self):
+    def test_many_points(self):
         grid = make_grid((2, 1, 1), FREE)
         grid.states[0, 0, 0] = OCCUPIED
         pts = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [2.0, 0.5, 0.5], [-0.1, 0.5, 0.5]])
-        assert grid.states_at(pts).tolist() == [grid.state_at(p) for p in pts]
-        assert grid.states_at(pts.reshape(2, 2, 3)).shape == (2, 2)
+        assert grid.states_at(pts).tolist() == [OCCUPIED, FREE, OUT_OF_BOUNDS, OUT_OF_BOUNDS]
+        assert grid.states_at(pts.reshape(2, 2, 3)).tolist() == [[OCCUPIED, FREE],
+                                                                 [OUT_OF_BOUNDS, OUT_OF_BOUNDS]]
 
     def test_validation(self):
         with pytest.raises(ValueError):
