@@ -26,8 +26,8 @@ from .smap_io import load_map, save_map
 from .voxelgrid import downsample, grid_obstacles, load_grid, save_grid
 from .worlds import WorldSpec, generate_world
 
-_EXTRA_KEYS = {"spacing", "passes", "grid_factor", "rrt_timeout", "budget",
-               "goals", "extent_x", "extent_y", "extent_z", "sensor_range"}
+_EXTRA_KEYS = {"spacing", "passes", "grid_factor", "rrt_timeout", "goals",
+               "sensor_range"}
 
 
 def _parse_params_file(path: str) -> dict[str, str]:

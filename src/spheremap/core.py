@@ -132,7 +132,7 @@ class SphereMap:
         self.plan_params = self.params.planner_params()
         self.nodes: dict[int, SphereNode] = {}
         self.adj: dict[int, set[int]] = {}
-        self.node_index = NodeIndex(cell_size=max(2.0, self.params.r_cap / 2.0))
+        self.node_index = NodeIndex()
         self.segments: dict[int, Segment] = {}
         self.portals: dict[tuple[int, int], Portal] = {}
         self.frontiers = np.empty((0, 3))
@@ -142,8 +142,6 @@ class SphereMap:
         self.mutation_token = 0
         self._next_node_id = 0
         self._next_label = 0
-        self._r_max = 0.0
-        self._r_max_dirty = False
 
     # ------------------------------------------------------------------
     # graph layer
@@ -162,11 +160,8 @@ class SphereMap:
                     yield a, b
 
     def _radius_bound(self) -> float:
-        """Upper bound on any live node radius."""
-        if self._r_max_dirty:
-            self._r_max = max((n.r for n in self.nodes.values()), default=0.0)
-            self._r_max_dirty = False
-        return self._r_max
+        """The largest live node radius (0.0 for an empty map)."""
+        return self.node_index.max_aux()
 
     def _add_node(self, p, r: float, nid: int | None = None) -> int:
         """Insert a sphere under a fresh id, or under ``nid`` (map loading)."""
@@ -180,8 +175,6 @@ class SphereMap:
         self.nodes[nid] = SphereNode(nid, p, r)
         self.adj[nid] = set()
         self.node_index.insert(nid, p, aux=r)
-        if r > self._r_max:
-            self._r_max = r
         self.mutation_token += 1
         return nid
 
@@ -199,8 +192,6 @@ class SphereMap:
             self.adj[nb].discard(nid)
             self._mark_altered(nb)
         self.node_index.remove(nid)
-        if node.r >= self._r_max and not self._r_max_dirty:
-            self._r_max_dirty = True
         if node.segment is not None:
             seg = self.segments[node.segment]
             seg.members.discard(nid)
@@ -211,12 +202,7 @@ class SphereMap:
         self.mutation_token += 1
 
     def _set_radius(self, nid: int, r: float) -> None:
-        node = self.nodes[nid]
-        if node.r >= self._r_max and r < node.r:
-            self._r_max_dirty = True
-        node.r = r
-        if r > self._r_max:
-            self._r_max = r
+        self.nodes[nid].r = r
         self.node_index.set_aux(nid, r)
         self._mark_altered(nid, geometry_changed=True)
         self.mutation_token += 1
@@ -670,7 +656,9 @@ class SphereMap:
 
     def segment_update(self, grid: OccupancyGrid, cube: UpdateCube) -> dict:
         stats = {"split": 0, "created": 0, "merged": 0, "caches_rebuilt": 0}
-        cube_labels = {self.nodes[i].segment for i in self.nodes_in_cube(cube)}
+        # Split and growth neither add nor remove nodes: one query serves both.
+        in_cube = self.nodes_in_cube(cube)
+        cube_labels = {self.nodes[i].segment for i in in_cube}
         cube_labels.discard(None)
         near = set(cube_labels) | {l for l, s in self.segments.items() if s.altered}
 
@@ -682,7 +670,7 @@ class SphereMap:
         for label in sorted(near):
             if label in self.segments:
                 self._grow_segment(label)
-        unassigned = [i for i in self.nodes_in_cube(cube) if self.nodes[i].segment is None]
+        unassigned = [i for i in in_cube if self.nodes[i].segment is None]
         for nid in sorted(unassigned, key=lambda i: (-self.nodes[i].r, i)):
             if self.nodes[nid].segment is not None:
                 continue

@@ -107,12 +107,11 @@ def run_mission(world: OccupancyGrid, trace: MissionTrace,
     return MissionResult(smap, reports, working)
 
 
-def sweep_positions(grid: OccupancyGrid, spacing: float,
-                    snap_free: bool = True) -> list[np.ndarray]:
+def sweep_positions(grid: OccupancyGrid, spacing: float) -> list[np.ndarray]:
     """Lattice of update centers covering every part of the grid with free space.
 
-    With ``snap_free`` each center moves to the nearest free-voxel centroid in
-    its lattice cell, so ray sampling starts inside traversable space.
+    Each center moves to the nearest free-voxel centroid in its lattice cell,
+    so ray sampling starts inside traversable space.
     """
     lo, hi = grid.world_min(), grid.world_max()
     axes = []
@@ -134,12 +133,9 @@ def sweep_positions(grid: OccupancyGrid, spacing: float,
                 free = np.argwhere(sub == FREE)
                 if not len(free):
                     continue
-                if snap_free:
-                    centers = grid.origin + grid.resolution * (free + a + 0.5)
-                    d2 = np.einsum("ij,ij->i", centers - p, centers - p)
-                    out.append(centers[int(np.argmin(d2))])
-                else:
-                    out.append(p)
+                centers = grid.origin + grid.resolution * (free + a + 0.5)
+                d2 = np.einsum("ij,ij->i", centers - p, centers - p)
+                out.append(centers[int(np.argmin(d2))])
     return out
 
 

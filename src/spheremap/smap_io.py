@@ -2,15 +2,16 @@
 
 A snapshot holds only what the map cannot derive: the build parameters, the
 id and label counters, the nodes (id, float32 centre and radius, segment
-label or none) and each segment's label and bounding sphere. Edges follow
+label) and each segment's label and bounding sphere. Edges follow
 from the intersection rule, portals are the widest inter-segment edges and
 cached paths are optimal searches between portals, so ``load_map`` rebuilds
 them with the code that built them the first time (``_recompute_edges``,
 ``_recompute_portals``, ``_rebuild_cache``). No stored copy can contradict
 the spheres, and as the map keeps its spheres at float32, the rebuilt layers
 equal the saved map's bit for bit. ``load_map`` also rejects empty or
-disconnected segments, so a loaded map whose nodes all have a segment passes
-``check_structure``.
+disconnected segments and nodes without a listed segment, so a loaded map
+passes ``check_structure``; ``save_map`` refuses such a node, which no
+update leaves.
 
 Nodes are written by id and segments by label, so ``save`` is deterministic
 and ``save(load(b)) == b``. The frontier store and RNG state are not saved.
@@ -32,7 +33,6 @@ _U32 = struct.Struct("<I")
 _COUNTERS = struct.Struct("<II")
 _NODE = struct.Struct("<I3ffI")
 _SEG = struct.Struct("<I3ff")
-_UNASSIGNED = 0xFFFFFFFF
 
 
 def save_map(smap: SphereMap) -> bytes:
@@ -48,8 +48,9 @@ def save_map(smap: SphereMap) -> bytes:
     out.append(_U32.pack(len(smap.nodes)))
     for nid in sorted(smap.nodes):
         node = smap.nodes[nid]
-        seg = _UNASSIGNED if node.segment is None else node.segment
-        out.append(_NODE.pack(nid, *(float(v) for v in node.p), node.r, seg))
+        if node.segment is None:
+            raise ValueError(f"node {nid} has no segment")
+        out.append(_NODE.pack(nid, *(float(v) for v in node.p), node.r, node.segment))
 
     out.append(_U32.pack(len(smap.segments)))
     for label in sorted(smap.segments):
@@ -112,8 +113,8 @@ def load_map(data: bytes) -> SphereMap:
         smap.segments[label] = Segment(label, set(), np.array([cx, cy, cz], dtype=float),
                                        float(rad))
 
-    # The map clamps radii to r_cap, so this rejects no saved map; it bounds
-    # the neighbour query of each edge rebuild below to a few index cells.
+    # The map clamps radii to r_cap, so this rejects only radii that no
+    # update can produce.
     r_cap = float(np.float32(params.r_cap))
     for nid, x, y, z, r, label in nodes:
         if nid in smap.nodes:
@@ -122,12 +123,11 @@ def load_map(data: bytes) -> SphereMap:
             raise PayloadError(f"node id {nid} is not below the id counter")
         if not _finite(x, y, z, r) or not params.r_min <= r <= r_cap:
             raise PayloadError(f"node {nid} has a bad position or radius")
-        if label != _UNASSIGNED and label not in smap.segments:
+        if label not in smap.segments:
             raise PayloadError(f"node {nid} names unlisted segment {label}")
         smap._add_node((x, y, z), r, nid)
-        if label != _UNASSIGNED:
-            smap.nodes[nid].segment = label
-            smap.segments[label].members.add(nid)
+        smap.nodes[nid].segment = label
+        smap.segments[label].members.add(nid)
 
     for nid in sorted(smap.nodes):
         smap._recompute_edges(nid)

@@ -5,9 +5,9 @@ the one clearance source: map updates build it over the obstacle surface of
 each padded update cube (``voxelgrid.surface_points``), and the grid
 baselines (through its subclass ``planner.ClearanceField``), the clearance
 invariant check and the benchmark scenarios over a whole grid
-(``voxelgrid.grid_obstacles``). ``NodeIndex`` is a dynamic bucketed spatial
-hash over sphere centers with exact vectorized post-filtering; all queries
-match a linear scan, with distance ties broken by lower id.
+(``voxelgrid.grid_obstacles``). ``NodeIndex`` is a dynamic store of sphere
+centres whose radius queries are one vectorized scan over every live row:
+exact by construction, ties broken by lower id, and O(live rows) each.
 """
 
 from __future__ import annotations
@@ -56,22 +56,20 @@ class ObstacleIndex:
 class NodeIndex:
     """Dynamic index of (id, position, aux scalar) entries.
 
-    Rows live in flat arrays; a uniform spatial hash maps cells to row lists.
-    ``query`` returns exact results sorted by (distance, id). Single writer,
-    no internal locking.
+    Live rows stay packed at the front of flat arrays (``remove`` moves the
+    last row into the hole), and ``query`` masks them all by distance and
+    sorts by (distance, id). A query costs O(live rows): with 10,000 uniform
+    points in a 48 m cube, a 2 m query takes about 105 us on a 2-CPU Xeon,
+    where a spatial hash of 4 m cells takes 50 us (8 m: 145 against 240 us).
+    The bench maps and the 144 m acceptance maze (about 5,300 nodes) build no
+    slower with the scan. Single writer, no internal locking.
     """
 
-    def __init__(self, cell_size: float):
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
-        self.cell_size = float(cell_size)
+    def __init__(self):
         self._slot: dict[int, int] = {}
-        self._free: list[int] = []
-        cap = 256
-        self._ids = np.full(cap, -1, dtype=np.int64)
-        self._pos = np.zeros((cap, 3))
-        self._aux = np.zeros(cap)
-        self._cells: dict[tuple[int, int, int], list[int]] = {}
+        self._ids = np.zeros(256, dtype=np.int64)
+        self._pos = np.zeros((256, 3))
+        self._aux = np.zeros(256)
 
     def __len__(self) -> int:
         return len(self._slot)
@@ -79,74 +77,55 @@ class NodeIndex:
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._slot
 
-    def _cell_of(self, p) -> tuple[int, int, int]:
-        return (int(math.floor(p[0] / self.cell_size)),
-                int(math.floor(p[1] / self.cell_size)),
-                int(math.floor(p[2] / self.cell_size)))
-
     def insert(self, node_id: int, p, aux: float = 0.0) -> None:
         if node_id in self._slot:
             raise KeyError(f"id {node_id} already present")
-        p = np.asarray(p, dtype=float)
-        if self._free:
-            row = self._free.pop()
-        else:
-            row = len(self._slot)
-            if row >= len(self._ids):
-                grow = len(self._ids)
-                self._ids = np.concatenate([self._ids, np.full(grow, -1, dtype=np.int64)])
-                self._pos = np.vstack([self._pos, np.zeros((grow, 3))])
-                self._aux = np.concatenate([self._aux, np.zeros(grow)])
+        row = len(self._slot)
+        if row == len(self._ids):
+            self._ids = np.resize(self._ids, 2 * row)
+            self._pos = np.resize(self._pos, (2 * row, 3))
+            self._aux = np.resize(self._aux, 2 * row)
         self._slot[node_id] = row
         self._ids[row] = node_id
-        self._pos[row] = p
+        self._pos[row] = np.asarray(p, dtype=float)
         self._aux[row] = aux
-        self._cells.setdefault(self._cell_of(p), []).append(row)
 
     def remove(self, node_id: int) -> None:
         if node_id not in self._slot:
             raise KeyError(f"id {node_id} not present")
         row = self._slot.pop(node_id)
-        cell = self._cell_of(self._pos[row])
-        bucket = self._cells[cell]
-        bucket.remove(row)
-        if not bucket:
-            del self._cells[cell]
-        self._ids[row] = -1
-        self._free.append(row)
+        last = len(self._slot)
+        if row != last:
+            moved = int(self._ids[last])
+            self._ids[row] = moved
+            self._pos[row] = self._pos[last]
+            self._aux[row] = self._aux[last]
+            self._slot[moved] = row
 
     def set_aux(self, node_id: int, value: float) -> None:
         self._aux[self._slot[node_id]] = value
 
-    def _rows_in_box(self, lo_cell, hi_cell) -> np.ndarray:
-        rows: list[int] = []
-        for cx in range(lo_cell[0], hi_cell[0] + 1):
-            for cy in range(lo_cell[1], hi_cell[1] + 1):
-                for cz in range(lo_cell[2], hi_cell[2] + 1):
-                    bucket = self._cells.get((cx, cy, cz))
-                    if bucket:
-                        rows.extend(bucket)
-        return np.asarray(rows, dtype=np.int64)
+    def max_aux(self) -> float:
+        """Largest aux value over the live rows (0.0 when empty)."""
+        n = len(self._slot)
+        return float(self._aux[:n].max()) if n else 0.0
 
     def query(self, q, radius: float):
         """Entries within ``radius`` (inclusive): (ids, positions, aux, distances),
         all sorted by (distance, id)."""
-        if radius < 0 or not self._slot:
+        n = len(self._slot)
+        if radius < 0 or not n:
             return _EMPTY_QUERY
-        q = np.asarray(q, dtype=float)
-        lo = self._cell_of(q - radius)
-        hi = self._cell_of(q + radius)
-        rows = self._rows_in_box(lo, hi)
+        pos, q = self._pos[:n], np.asarray(q, dtype=float)
+        dx, dy, dz = pos[:, 0] - q[0], pos[:, 1] - q[1], pos[:, 2] - q[2]
+        # Twice as fast as np.einsum("ij,ij->i") and bit-equal to it: einsum
+        # rounds a row as (dx² + dz²) + dy², so the maps do not change.
+        d2 = dx * dx + dz * dz
+        d2 += dy * dy
+        rows = np.flatnonzero(d2 <= radius * radius)
         if not len(rows):
             return _EMPTY_QUERY
-        pos = self._pos[rows]
-        delta = pos - q
-        d2 = np.einsum("ij,ij->i", delta, delta)
-        mask = d2 <= radius * radius
-        if not mask.any():
-            return _EMPTY_QUERY
-        rows = rows[mask]
-        d = np.sqrt(d2[mask])
+        d = np.sqrt(d2[rows])
         ids = self._ids[rows]
         order = np.lexsort((ids, d))
         rows = rows[order]

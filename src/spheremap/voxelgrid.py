@@ -107,9 +107,6 @@ class UpdateCube:
     def padded(self, margin: float) -> "UpdateCube":
         return UpdateCube(self.center, self.side + 2.0 * margin)
 
-    def contains(self, p) -> bool:
-        return bool(np.all(np.abs(np.asarray(p, dtype=float) - self.center) <= self.side / 2.0))
-
     def voxel_range(self, grid: OccupancyGrid):
         """Half-open voxel index range covered by the cube, clipped to the grid.
 

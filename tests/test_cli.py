@@ -132,3 +132,11 @@ class TestBench:
         rc = main(["bench", "--suite", "single-goal", "--world", str(world_file),
                    "--out", str(tmp_path / "b"), "--params", str(params)])
         assert rc == 2
+
+    @pytest.mark.parametrize("key", ["budget", "extent_x", "extent_y", "extent_z"])
+    def test_keys_no_command_reads_are_unknown(self, world_file, tmp_path, key):
+        params = tmp_path / "p.params"
+        params.write_text(f"{key}=1\n")
+        rc = main(["bench", "--suite", "single-goal", "--world", str(world_file),
+                   "--out", str(tmp_path / "b"), "--params", str(params)])
+        assert rc == 2

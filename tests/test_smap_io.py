@@ -108,7 +108,10 @@ def test_loaded_map_keeps_updating_like_the_original():
 
 def _one_node_map():
     smap = SphereMap(BuildParams(), seed=0)
-    smap._add_node((1.0, 2.0, 3.0), 1.5)
+    nid = smap._add_node((1.0, 2.0, 3.0), 1.5)
+    label = smap._new_label()
+    smap.segments[label] = Segment(label, {nid}, smap.nodes[nid].p.copy(), 1.5)
+    smap.nodes[nid].segment = label
     return save_map(smap)
 
 
@@ -168,6 +171,18 @@ class TestHostileValues:
         data = bytearray(_one_node_map())
         struct.pack_into("<f", data, self.NODE + 16, BuildParams().r_cap)
         assert load_map(bytes(data)).node_count() == 1
+
+    def test_no_segment_label_is_rejected(self):
+        data = bytearray(_one_node_map())
+        struct.pack_into("<I", data, self.NODE + 20, 0xFFFFFFFF)
+        with pytest.raises(PayloadError):
+            load_map(bytes(data))
+
+    def test_saving_a_node_without_segment_raises(self):
+        smap = SphereMap(BuildParams(), seed=0)
+        smap._add_node((1.0, 2.0, 3.0), 1.5)
+        with pytest.raises(ValueError):
+            save_map(smap)
 
 
 COUNTERS = 4 + smap_io._PARAMS.size

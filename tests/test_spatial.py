@@ -47,18 +47,18 @@ class TestObstacleIndex:
 
 class TestNodeIndex:
     def test_insert_query_zero_radius(self):
-        index = NodeIndex(cell_size=2.0)
+        index = NodeIndex()
         index.insert(7, (1.0, 2.0, 3.0))
         assert index.within_radius((1.0, 2.0, 3.0), 0.0) == [7]
 
     def test_duplicate_insert_rejected(self):
-        index = NodeIndex(cell_size=2.0)
+        index = NodeIndex()
         index.insert(1, (0, 0, 0))
         with pytest.raises(KeyError):
             index.insert(1, (1, 1, 1))
 
     def test_remove_then_query(self):
-        index = NodeIndex(cell_size=2.0)
+        index = NodeIndex()
         index.insert(1, (0, 0, 0))
         index.insert(2, (0.5, 0, 0))
         index.remove(1)
@@ -66,44 +66,68 @@ class TestNodeIndex:
         assert 1 not in index
 
     def test_remove_missing(self):
-        index = NodeIndex(cell_size=2.0)
+        index = NodeIndex()
         with pytest.raises(KeyError):
             index.remove(3)
 
     def test_tie_break_by_id(self):
-        index = NodeIndex(cell_size=2.0)
+        index = NodeIndex()
         index.insert(5, (1.0, 0.0, 0.0))
         index.insert(2, (-1.0, 0.0, 0.0))
         assert index.within_radius((0, 0, 0), 1.0) == [2, 5]
 
+    def test_empty_max_aux(self):
+        index = NodeIndex()
+        assert index.max_aux() == 0.0
+        index.insert(1, (0, 0, 0), aux=2.0)
+        index.remove(1)
+        assert index.max_aux() == 0.0
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_ops_match_linear_scan(self, seed):
         rng = np.random.default_rng(seed)
-        index = NodeIndex(cell_size=3.0)
-        alive: dict[int, np.ndarray] = {}
+        index = NodeIndex()
+        alive: dict[int, tuple[np.ndarray, float]] = {}
         next_id = 0
         for _ in range(500):
-            if alive and rng.random() < 0.3:
+            op = rng.random()
+            if alive and op < 0.3:
                 victim = sorted(alive)[int(rng.integers(len(alive)))]
                 index.remove(victim)
                 del alive[victim]
+            elif alive and op < 0.45:
+                # Shrinking the largest value is the case a cached maximum misses.
+                target = max(alive, key=lambda i: alive[i][1]) if rng.random() < 0.5 \
+                    else sorted(alive)[int(rng.integers(len(alive)))]
+                aux = float(rng.uniform(0, 8))
+                index.set_aux(target, aux)
+                alive[target] = (alive[target][0], aux)
             else:
                 p = rng.uniform(-20, 20, 3)
-                index.insert(next_id, p)
-                alive[next_id] = p
+                aux = float(rng.uniform(0, 8))
+                index.insert(next_id, p, aux=aux)
+                alive[next_id] = (p, aux)
                 next_id += 1
+            assert len(index) == len(alive)
+            assert index.max_aux() == max((a for _, a in alive.values()), default=0.0)
         ids = sorted(alive)
-        pts = np.array([alive[i] for i in ids])
+        pts = np.array([alive[i][0] for i in ids])
         for _ in range(50):
             q = rng.uniform(-25, 25, 3)
             r = rng.uniform(0, 15)
             d = np.linalg.norm(pts - q, axis=1)
             order = sorted(range(len(ids)), key=lambda i: (d[i], ids[i]))
-            expected_wr = [ids[i] for i in order if d[i] <= r]
-            assert index.within_radius(q, r) == expected_wr
+            expected = [ids[i] for i in order if d[i] <= r]
+            assert index.within_radius(q, r) == expected
+            got_ids, got_pos, got_aux, got_d = index.query(q, r)
+            delta = got_pos - q
+            assert np.array_equal(got_d, np.sqrt(np.einsum("ij,ij->i", delta, delta)))
+            for nid, p, aux in zip(got_ids, got_pos, got_aux):
+                assert np.array_equal(p, alive[int(nid)][0])
+                assert aux == alive[int(nid)][1]
 
     def test_query_returns_sorted_arrays(self):
-        index = NodeIndex(cell_size=2.0)
+        index = NodeIndex()
         index.insert(3, (0, 0, 0), aux=1.5)
         index.insert(1, (1, 0, 0), aux=2.5)
         ids, pos, aux, dist = index.query((0.0, 0.0, 0.0), 2.0)

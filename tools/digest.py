@@ -16,8 +16,9 @@ and the first pass at seed 1 with the spheremap sources of
 - ``ltv``: the encoded LTV export of the map.
 
 Run it on two checkouts to check that a change keeps the same maps and
-plans: every digest but ``loaded`` should match, and ``loaded`` should equal
-``structure`` with no problems.
+plans: every digest but ``loaded`` should match. The command exits 1 when a
+workload's ``loaded`` differs from its ``structure`` or ``problems`` is not
+0, that is, when a map does not survive its own SMAP round trip.
 """
 
 from __future__ import annotations
@@ -65,18 +66,23 @@ def main(argv: list[str]) -> int:
     from tracing import Tracer
     from workloads import WORKLOADS, Runner
 
+    status = 0
     for name in argv[1:]:
         runner = Runner(WORKLOADS[name], 1, Tracer())
         scene = runner.setup()
         done = runner.run_pass(scene)
         plans = (scene.log.plans if scene.log is not None else []) + done.log.plans
         loaded = smap_io.load_map(smap_io.save_map(done.smap))
+        structure, loaded_structure = structure_digest(done.smap), structure_digest(loaded)
+        problems = len(validate.check_structure(loaded))
         ltv_sha = hashlib.sha1(ltv.encode(ltv.extract(done.smap))).hexdigest()
-        print(f"{name} structure {structure_digest(done.smap)} "
-              f"loaded {structure_digest(loaded)} "
-              f"problems {len(validate.check_structure(loaded))} "
+        print(f"{name} structure {structure} loaded {loaded_structure} "
+              f"problems {problems} "
               f"plans {plans_digest(plans)} ({len(plans)} plans) ltv {ltv_sha}", flush=True)
-    return 0
+        if loaded_structure != structure or problems:
+            print(f"{name}: the map does not survive its SMAP round trip", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
