@@ -69,6 +69,8 @@ class BuildParams:
             raise ValueError("r_cap must exceed r_min")
         if self.samples_per_ray < 1 or self.ray_count < 0:
             raise ValueError("bad ray sampling configuration")
+        if self.frontier_connectivity not in (6, 26):
+            raise ValueError("frontier_connectivity must be 6 or 26")
 
     def planner_params(self) -> "planner.PlannerParams":
         return planner.PlannerParams(xi=self.xi, d_max=self.d_max, r_min=self.r_min)
@@ -207,15 +209,14 @@ class SphereMap:
         self._mark_altered(nid, geometry_changed=True)
         self.mutation_token += 1
 
-    def _recompute_edges(self, nid: int) -> None:
-        """Re-derive this node's adjacency from the intersection rule."""
+    def _recompute_edges(self, nid: int):
+        """Re-derive this node's adjacency from the intersection rule; return
+        the neighbours' ids, radii and distances as ``NodeIndex.query`` does."""
         node = self.nodes[nid]
-        ids, pos, aux, d = self.node_index.query(node.p, node.r + self._radius_bound())
-        new_nbrs: set[int] = set()
-        if len(ids):
-            ir = geometry.intersection_radii(d, node.r, aux)
-            keep = (ir > self.params.r_min) & (ids != nid)
-            new_nbrs = {int(i) for i in ids[keep]}
+        ids, _, aux, d = self.node_index.query(node.p, node.r + self._radius_bound())
+        keep = (geometry.intersection_radii(d, node.r, aux) > self.params.r_min) & (ids != nid)
+        ids, aux, d = ids[keep], aux[keep], d[keep]
+        new_nbrs = {int(i) for i in ids}
         old = self.adj[nid]
         for nb in new_nbrs - old:
             self.adj[nb].add(nid)
@@ -227,25 +228,24 @@ class SphereMap:
             self.adj[nid] = new_nbrs
             self._mark_altered(nid)
             self.mutation_token += 1
+        return ids, aux, d
 
-    def _is_redundant_point(self, p: np.ndarray, r: float, exclude: int = -1,
-                            strict: bool = True) -> bool:
+    def _is_redundant_point(self, p: np.ndarray, r: float, strict: bool = True) -> bool:
         """True iff a larger sphere covers >= kappa of this one's volume.
 
         ``strict`` demands a strictly larger coverer; the candidate sieve in
         expansion relaxes this to equal-or-larger so resampling the same spot
-        converges instead of stacking twins. A coverer at useful kappa must
-        contain the center, so its own center lies within the live radius
-        bound of ``p``.
+        converges instead of stacking twins. A strict test never counts a live
+        node against itself, whose radius equals ``r``. A coverer at useful
+        kappa must contain the center, so its own center lies within the live
+        radius bound of ``p``.
         """
         bound = self._radius_bound()
         if bound < r or (strict and bound <= r):
             return False
         query_r = bound if self.params.kappa >= 0.5 else r + bound
-        ids, pos, aux, d = self.node_index.query(p, query_r)
-        if not len(ids):
-            return False
-        bigger = ((aux > r) if strict else (aux >= r)) & (ids != exclude)
+        _, _, aux, d = self.node_index.query(p, query_r)
+        bigger = (aux > r) if strict else (aux >= r)
         if not bigger.any():
             return False
         frac = geometry.covered_fractions(r, d[bigger], aux[bigger])
@@ -253,7 +253,7 @@ class SphereMap:
 
     def is_redundant(self, nid: int) -> bool:
         node = self.nodes[nid]
-        return self._is_redundant_point(node.p, node.r, exclude=nid)
+        return self._is_redundant_point(node.p, node.r)
 
     def nodes_in_cube(self, cube: UpdateCube) -> list[int]:
         reach = cube.side / 2.0 * math.sqrt(3.0) + 1e-9
@@ -293,26 +293,21 @@ class SphereMap:
         for nid in changed:
             self._recompute_edges(nid)
         stats["radius_changed"] = len(changed)
-        # With no geometry change over the same cube, last iteration's sweep
-        # still guarantees redundancy-freeness.
-        same_cube = (self.last_cube is not None
-                     and np.array_equal(self.last_cube.center, cube.center)
-                     and self.last_cube.side == cube.side)
-        if changed or stats["removed_unsafe"] or not same_cube:
-            stats["removed_redundant"] = self._prune_redundant(
-                [i for i in ids if i in self.nodes])
+        stats["removed_redundant"] = self._prune_redundant(ids)
         return stats
 
-    def _find_coverers(self, pts: np.ndarray, radii: np.ndarray,
-                       strict: bool, exclude_ids=None) -> np.ndarray:
-        """For each query sphere, an id of one covering node (-1 if none).
+    def _find_coverers(self, pts: np.ndarray, radii: np.ndarray, strict: bool):
+        """For each query sphere, the nearest covering node and its center
+        distance: (ids, distances), -1 and inf where nothing covers.
 
-        A vectorized sweep against all nodes near the query bounding box; the
-        caller re-verifies liveness, so a recorded coverer is only a witness.
+        The same test as :meth:`_is_redundant_point`, vectorized against all
+        nodes near each chunk's bounding box. It reads the map as it is now;
+        the caller re-verifies liveness, so a coverer is only a witness.
         """
         out = np.full(len(pts), -1, dtype=np.int64)
+        out_d = np.full(len(pts), np.inf)
         if not len(pts) or not self.nodes:
-            return out
+            return out, out_d
         bound = self._radius_bound()
         kappa = self.params.kappa
         # Chunks of the candidate scan are spatially coherent, so each chunk
@@ -330,19 +325,20 @@ class SphereMap:
             frac = geometry.coverage_matrix(radii[s:e], d, aux)
             bigger = (aux[None, :] > radii[s:e, None]) if strict \
                 else (aux[None, :] >= radii[s:e, None])
-            ok = (frac >= kappa) & bigger
-            if exclude_ids is not None:
-                ok &= ids[None, :] != np.asarray(exclude_ids[s:e])[:, None]
-            hit = ok.any(axis=1)
-            out[s:e][hit] = ids[ok.argmax(axis=1)[hit]]
-        return out
+            d[~((frac >= kappa) & bigger)] = np.inf
+            near = d.argmin(axis=1)
+            out_d[s:e] = d[np.arange(e - s), near]
+            hit = out_d[s:e] < np.inf
+            out[s:e][hit] = ids[near[hit]]
+        return out, out_d
 
     def _prune_redundant(self, ids) -> int:
         """Remove redundant nodes in ascending-radius order, re-evaluating as we go.
 
-        A batch pass records a covering witness per node; since pruning only
-        removes nodes, a node without an initial witness can never become
-        redundant, and a node whose witness is still alive still is.
+        One strict ``_find_coverers`` sweep records a witness per node. Since
+        pruning only removes nodes, a node without a witness can never become
+        redundant, and a node whose witness is still alive still is; only a
+        node whose witness was removed is tested again.
         """
         ids = sorted((i for i in ids if i in self.nodes),
                      key=lambda i: (self.nodes[i].r, i))
@@ -350,8 +346,7 @@ class SphereMap:
             return 0
         pts = np.array([self.nodes[i].p for i in ids])
         radii = np.array([self.nodes[i].r for i in ids])
-        witness = self._find_coverers(pts, radii, strict=True,
-                                      exclude_ids=np.array(ids, dtype=np.int64))
+        witness, _ = self._find_coverers(pts, radii, strict=True)
         removed = 0
         for nid, wit in zip(ids, witness):
             if wit < 0 or nid not in self.nodes:
@@ -398,6 +393,15 @@ class SphereMap:
         return np.concatenate(parts, axis=0)
 
     def expand(self, index: ObstacleIndex, grid: OccupancyGrid, cube: UpdateCube, uav) -> dict:
+        """Add the sampled candidates that no live sphere covers.
+
+        One non-strict ``_find_coverers`` sweep gives each candidate its
+        nearest coverer. One at distance 0.0 is a twin (a node on the
+        candidate's position, no smaller) and rules the candidate out even if
+        this loop has removed it since; that catches nearly every lattice
+        candidate of a converged cube. Any other witness is a hint: once it is
+        gone, ``_is_redundant_point`` decides.
+        """
         stats = {"candidates": 0, "added": 0, "removed_redundant": 0}
         cands = self._sample_candidates(grid, cube, uav)
         stats["candidates"] = len(cands)
@@ -406,56 +410,37 @@ class SphereMap:
         cands = np.asarray(np.asarray(cands, dtype=np.float32), dtype=float)
         radii = np.minimum(index.nearest_distances(cands), self.params.r_cap)
         radii = np.asarray(np.asarray(radii, dtype=np.float32), dtype=float)
-        kappa = self.params.kappa
         order = radii >= self.params.r_min
         cands, radii = cands[order], radii[order]
-        # A live node at the exact candidate position with the same (fresh)
-        # radius fully covers it; this catches nearly every lattice candidate
-        # once the cube has converged.
-        twin_r = {node.p.tobytes(): node.r for node in self.nodes.values()}
-        fresh = np.array([twin_r.get(p.tobytes(), -1.0) < r
-                          for p, r in zip(cands, radii)])
-        witness = np.full(len(cands), -1, dtype=np.int64)
-        if fresh.any():
-            witness[fresh] = self._find_coverers(cands[fresh], radii[fresh], strict=False)
+        witness, witness_d = self._find_coverers(cands, radii, strict=False)
         added_ids = []
-        for p, r, wit, is_fresh in zip(cands, radii, witness, fresh):
-            if not is_fresh:
+        for p, r, wit, wit_d in zip(cands, radii, witness, witness_d):
+            if wit_d == 0.0 or (wit >= 0 and int(wit) in self.nodes):
                 continue
             r = float(r)
-            if wit >= 0 and int(wit) in self.nodes:
-                continue
             if self._is_redundant_point(p, r, strict=False):
                 continue
             nid = self._add_node(p, r)
             added_ids.append(nid)
-            self._recompute_edges(nid)
             # Only the fresh sphere can have made a surviving neighbor
             # redundant, so a pairwise coverage check suffices.
-            node = self.nodes[nid]
-            for nb in sorted(self.adj[nid]):
-                other = self.nodes[nb]
-                if other.r >= node.r:
-                    continue
-                d = float(np.linalg.norm(other.p - node.p))
-                frac = geometry.covered_fractions(other.r, np.array([d]), np.array([node.r]))
-                if frac[0] >= kappa:
+            nbrs, nbr_r, nbr_d = self._recompute_edges(nid)
+            smaller = nbr_r < r
+            if smaller.any():
+                frac = geometry.coverage_matrix(nbr_r[smaller], nbr_d[smaller, None], [r])
+                for nb in sorted(int(i) for i in nbrs[smaller][frac[:, 0] >= self.params.kappa]):
                     self._remove_node(nb)
                     stats["removed_redundant"] += 1
             stats["added"] += 1
         # New spheres are the only fresh coverage sources, and a coverer must
         # contain the covered center: sweeping nodes inside added spheres
         # restores cube-wide redundancy-freeness.
-        if added_ids:
-            suspects: set[int] = set()
-            for nid in added_ids:
-                if nid not in self.nodes:
-                    continue
-                node = self.nodes[nid]
-                ids, _, _, _ = self.node_index.query(node.p, node.r)
-                suspects.update(int(i) for i in ids)
-            stats["removed_redundant"] += self._prune_redundant(
-                [i for i in suspects if i in self.nodes])
+        suspects: set[int] = set()
+        for nid in added_ids:
+            if nid in self.nodes:
+                suspects.update(self.node_index.within_radius(self.nodes[nid].p,
+                                                              self.nodes[nid].r))
+        stats["removed_redundant"] += self._prune_redundant(suspects)
         return stats
 
     # ------------------------------------------------------------------

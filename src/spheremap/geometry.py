@@ -44,55 +44,38 @@ def intersection_radii(d: np.ndarray, r1, r2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lens_fraction(r, R, d):
-    """Share of a radius-r sphere's volume inside a radius-R sphere whose
-    center is d away, for partially overlapping pairs (elementwise)."""
-    vol = (np.pi * (r + R - d) ** 2
-           * (d * d + 2.0 * d * (r + R) - 3.0 * (r - R) ** 2) / (12.0 * d))
-    return vol / (4.0 / 3.0 * np.pi * r ** 3)
+def _coverage(r, d, R) -> np.ndarray:
+    """Share of each radius-r sphere's volume inside the radius-R sphere whose
+    center is d away (r, d and R broadcast). Containment (d <= R - r) counts
+    as full coverage, a smaller sphere inside covers (R / r)^3, and the lens
+    volume is evaluated only on partially overlapping pairs."""
+    r, d, R = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(d, dtype=float),
+                                  np.asarray(R, dtype=float))
+    frac = np.zeros(d.shape)
+    frac[d <= R - r] = 1.0
+    gap = np.abs(r - R)
+    lens = np.nonzero((d > gap) & (d < r + R))
+    if len(lens[0]):
+        rl, Rl, dl = r[lens], R[lens], d[lens]
+        vol = (np.pi * (rl + Rl - dl) ** 2
+               * (dl * dl + 2.0 * dl * (rl + Rl) - 3.0 * (rl - Rl) ** 2) / (12.0 * dl))
+        frac[lens] = vol / (4.0 / 3.0 * np.pi * rl ** 3)
+    inner = np.nonzero((d <= gap) & (R < r))
+    if len(inner[0]):
+        frac[inner] = (R[inner] / r[inner]) ** 3
+    return frac
 
 
 def covered_fractions(r: float, d: np.ndarray, r_other: np.ndarray) -> np.ndarray:
-    """Fraction of a radius-r sphere's volume covered by each other sphere.
-
-    Containment (d <= r_other - r) counts as full coverage.
-    """
-    d = np.asarray(d, dtype=float)
-    r_other = np.asarray(r_other, dtype=float)
-    frac = np.zeros(d.shape)
-    contained = d <= r_other - r
-    frac[contained] = 1.0
-    overlap = ~contained & (d < r + r_other) & (d > np.abs(r - r_other))
-    if np.any(overlap):
-        frac[overlap] = _lens_fraction(r, r_other[overlap], d[overlap])
-    # d <= |r - r_other| with r_other < r: the other sphere sits inside this
-    # one, covering (r_other / r)^3 of it.
-    inner = (d <= np.abs(r - r_other)) & (r_other < r)
-    frac[inner] = (r_other[inner] / r) ** 3
-    return frac
+    """Fraction of a radius-r sphere's volume covered by each other sphere."""
+    return _coverage(r, d, r_other)
 
 
 def coverage_matrix(r_small: np.ndarray, d: np.ndarray, r_big: np.ndarray) -> np.ndarray:
     """fractions[i, j]: coverage of sphere i (radius r_small[i]) by sphere j,
-    given the center-distance matrix d of shape (len(r_small), len(r_big)).
-
-    The lens formula is only evaluated on actually-overlapping pairs, which
-    keeps the sweep cheap on sparse graphs.
-    """
-    r = np.asarray(r_small, dtype=float)[:, None]
-    R = np.asarray(r_big, dtype=float)[None, :]
-    d = np.asarray(d, dtype=float)
-    frac = np.zeros(d.shape)
-    frac[d <= R - r] = 1.0
-    overlap = np.nonzero((frac == 0.0) & (d < r + R) & (d > np.abs(r - R)))
-    if len(overlap[0]):
-        frac[overlap] = _lens_fraction(np.broadcast_to(r, d.shape)[overlap],
-                                       np.broadcast_to(R, d.shape)[overlap], d[overlap])
-    inner = np.nonzero((d <= np.abs(r - R)) & (R < r))
-    if len(inner[0]):
-        frac[inner] = (np.broadcast_to(R, d.shape)[inner]
-                       / np.broadcast_to(r, d.shape)[inner]) ** 3
-    return frac
+    given the center-distance matrix d of shape (len(r_small), len(r_big))."""
+    return _coverage(np.asarray(r_small, dtype=float)[:, None], d,
+                     np.asarray(r_big, dtype=float)[None, :])
 
 
 def enclosing_sphere(positions: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, float]:

@@ -307,6 +307,8 @@ def load_grid(data: bytes) -> OccupancyGrid:
     resolution, ox, oy, oz, nx, ny, nz = _HEADER.unpack_from(data, 4)
     if resolution <= 0 or not np.isfinite(resolution):
         raise PayloadError(f"bad resolution {resolution}")
+    if not np.all(np.isfinite((ox, oy, oz))):
+        raise PayloadError(f"non-finite origin {(ox, oy, oz)}")
     total = nx * ny * nz
     pos = 4 + _HEADER.size
     n_runs, tail = divmod(len(data) - pos, _RUN.size)

@@ -39,6 +39,9 @@ class TestBuildParams:
             BuildParams(kappa=0.0)
         with pytest.raises(ValueError):
             BuildParams(r_cap=0.5)
+        with pytest.raises(ValueError, match="frontier_connectivity"):
+            BuildParams(frontier_connectivity=7)
+        assert BuildParams(frontier_connectivity=26).frontier_connectivity == 26
 
     def test_non_finite_floats_are_rejected(self):
         with pytest.raises(ValueError):
@@ -92,6 +95,62 @@ class TestIsRedundant:
         nu = add_node(smap_loose, (0, 0, 0), 1.0)
         add_node(smap_loose, (1.2, 0, 0), 1.5)
         assert smap_loose.is_redundant(nu) == (frac >= 0.55)
+
+
+def random_map(seed, kappa=0.6, n=60):
+    """Unpruned map of n random spheres in a 6 m box, float32 like real nodes."""
+    rng = np.random.default_rng(seed)
+    smap = make_map(kappa=kappa)
+    for p, r in zip(rng.uniform(-3.0, 3.0, (n, 3)), rng.uniform(0.8, 2.5, n)):
+        add_node(smap, p, float(np.float32(r)))
+    return smap, rng
+
+
+class TestCoverageRule:
+    """The sweep, the single-sphere test and the neighbour query share one rule."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_sweep_agrees_with_single_sphere_test(self, seed, kappa, strict):
+        smap, rng = random_map(seed, kappa)
+        # Random probes, plus every node and a shrunken copy of it on its own centre.
+        live = list(smap.nodes.values())
+        pts = np.concatenate([rng.uniform(-4.0, 4.0, (300, 3)), [n.p for n in live] * 2])
+        pts = np.asarray(np.asarray(pts, dtype=np.float32), dtype=float)
+        radii = np.concatenate([rng.uniform(0.5, 2.5, 300), [n.r for n in live],
+                                [n.r * 0.9 for n in live]])
+        radii = np.asarray(np.asarray(radii, dtype=np.float32), dtype=float)
+        ids, dists = smap._find_coverers(pts, radii, strict=strict)
+        verdicts = [smap._is_redundant_point(p, float(r), strict=strict)
+                    for p, r in zip(pts, radii)]
+        assert list(ids >= 0) == verdicts
+        assert np.array_equal(np.isfinite(dists), ids >= 0)
+        assert 0 < sum(verdicts) < len(verdicts)
+        for i in np.flatnonzero(ids >= 0):
+            q_ids, _, _, q_d = smap.node_index.query(pts[i], math.inf)
+            assert dists[i] == q_d[q_ids == ids[i]][0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_probe_on_a_node_centre_finds_that_node(self, seed):
+        smap, _ = random_map(seed)
+        for nid, node in smap.nodes.items():
+            for r in (node.r, float(np.float32(node.r * 0.5))):
+                ids, dists = smap._find_coverers(node.p[None, :], np.array([r]), strict=False)
+                assert (int(ids[0]), dists[0]) == (nid, 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_recompute_edges_returns_the_neighbours(self, seed):
+        smap, _ = random_map(seed)
+        for nid in sorted(smap.nodes):
+            node = smap.nodes[nid]
+            ids, radii, dists = smap._recompute_edges(nid)
+            assert set(ids.tolist()) == smap.adj[nid]
+            assert len(ids) == len(smap.adj[nid])
+            assert radii.tolist() == [smap.nodes[int(i)].r for i in ids]
+            q_ids, _, _, q_d = smap.node_index.query(node.p, math.inf)
+            expected = dict(zip(q_ids.tolist(), q_d.tolist()))
+            assert dists.tolist() == [expected[int(i)] for i in ids]
 
 
 class TestRecomputeAndPrune:

@@ -107,7 +107,7 @@ class TestCoveredFractions:
         mat = coverage_matrix(r_small, d, r_big)
         for i in range(8):
             row = covered_fractions(r_small[i], d[i], r_big)
-            np.testing.assert_allclose(mat[i], row, atol=1e-12)
+            assert np.array_equal(mat[i], row)
 
 
 class TestEnclosingSphere:

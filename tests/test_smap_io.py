@@ -178,6 +178,13 @@ class TestHostileValues:
         with pytest.raises(PayloadError):
             load_map(bytes(data))
 
+    @pytest.mark.parametrize("conn", [0, 7, 255])
+    def test_unusable_frontier_connectivity_is_rejected(self, conn):
+        data = bytearray(_one_node_map())
+        data[4 + struct.calcsize("<9dB")] = conn   # the byte after per_voxel_samples
+        with pytest.raises(PayloadError, match="frontier_connectivity"):
+            load_map(bytes(data))
+
     def test_saving_a_node_without_segment_raises(self):
         smap = SphereMap(BuildParams(), seed=0)
         smap._add_node((1.0, 2.0, 3.0), 1.5)

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -384,6 +385,14 @@ class TestVoxgridFormat:
         data = save_grid(make_grid((2, 2, 2), FREE))
         with pytest.raises(PayloadError):
             load_grid(data + b"\x00")
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_origin(self, axis, value):
+        data = bytearray(save_grid(make_grid((1, 1, 1), FREE)))
+        struct.pack_into("<d", data, 4 + 8 + 8 * axis, value)
+        with pytest.raises(PayloadError, match="origin"):
+            load_grid(bytes(data))
 
     def test_bad_state_byte(self):
         data = bytearray(save_grid(make_grid((1, 1, 1), FREE)))
