@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import ltv as ltv_mod
-from .errors import BudgetExceededError, ConfigError
+from .errors import ConfigError
 from .mission import MissionTrace, run_mission
 from .planner import (ClearanceField, PlannerParams, _graph_costs,
                       astar_sphere_graph, evaluate_path, grid_astar,
@@ -116,31 +116,26 @@ def sample_goal_nodes(smap, n: int, seed: int = 0, margin: float = 0.5) -> list[
 
 
 def _run_mode(mode, smap, coarse, coarse_field, start, goals, params,
-              rrt_timeout, rrt_seed, budget):
+              rrt_timeout, rrt_seed):
     if mode in ("full-graph", "cached"):
         _graph_costs(smap, params)  # warm the cost table outside the timed region
     results = []
     times = []
     for gi, goal in enumerate(goals):
         t0 = time.perf_counter()
-        try:
-            if mode == "grid":
-                res = grid_astar(coarse, start, goal, params, "safety",
-                                 field=coarse_field, budget=budget)
-            elif mode == "grid-length":
-                res = grid_astar(coarse, start, goal, params, "length-only",
-                                 field=coarse_field, budget=budget)
-            elif mode == "rrt-star":
-                res = rrt_star(coarse, start, goal, params, timeout=rrt_timeout,
-                               seed=rrt_seed + gi, field=coarse_field)
-            elif mode == "full-graph":
-                res = astar_sphere_graph(smap, start, goal, params)
-            elif mode == "cached":
-                res = plan_cached(smap, start, goal, params)
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
-        except BudgetExceededError:
-            res = None
+        if mode == "grid":
+            res = grid_astar(coarse, start, goal, params, "safety", field=coarse_field)
+        elif mode == "grid-length":
+            res = grid_astar(coarse, start, goal, params, "length-only", field=coarse_field)
+        elif mode == "rrt-star":
+            res = rrt_star(coarse, start, goal, params, timeout=rrt_timeout,
+                           seed=rrt_seed + gi, field=coarse_field)
+        elif mode == "full-graph":
+            res = astar_sphere_graph(smap, start, goal, params)
+        elif mode == "cached":
+            res = plan_cached(smap, start, goal, params)
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
         times.append(time.perf_counter() - t0)
         results.append(res)
     return results, times
@@ -157,7 +152,7 @@ def _fields(world: OccupancyGrid, grid_factor: int):
 def scenario_multi_goal(world: OccupancyGrid, smap, start, goals,
                         params: PlannerParams, grid_factor: int = 2,
                         rrt_timeout: float = 10.0, rrt_seed: int = 1,
-                        modes=ALL_MODES, budget=None):
+                        modes=ALL_MODES):
     """Per-planner totals over a shared goal set (multi-goal study schema).
 
     The grid baselines search ``downsample(world, grid_factor)``, with
@@ -172,7 +167,7 @@ def scenario_multi_goal(world: OccupancyGrid, smap, start, goals,
     all_times = {}
     for mode in modes:
         results, times = _run_mode(mode, smap, coarse, coarse_field, start, goals,
-                                   params, rrt_timeout, rrt_seed, budget)
+                                   params, rrt_timeout, rrt_seed)
         found = [r for r in results if r is not None]
         evals = [evaluate_path(r.waypoints, fine_field, params) for r in found]
         rows.append({
@@ -192,7 +187,7 @@ def scenario_multi_goal(world: OccupancyGrid, smap, start, goals,
 def scenario_single_goal(world: OccupancyGrid, smap, start, goal,
                          params: PlannerParams, grid_factor: int = 2,
                          rrt_timeout: float = 10.0, rrt_seed: int = 1,
-                         modes=ALL_MODES, budget=None):
+                         modes=ALL_MODES):
     """Per-planner time and evaluated length/risk/cost to one goal.
 
     Clearances are measured as in ``scenario_multi_goal``: against the
@@ -203,7 +198,7 @@ def scenario_single_goal(world: OccupancyGrid, smap, start, goal,
     all_results = {}
     for mode in modes:
         results, times = _run_mode(mode, smap, coarse, coarse_field, start, [goal],
-                                   params, rrt_timeout, rrt_seed, budget)
+                                   params, rrt_timeout, rrt_seed)
         res = results[0]
         if res is None:
             rows.append({"mode": mode, "time_ms": round(times[0] * 1e3, 3),

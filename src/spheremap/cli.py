@@ -99,9 +99,12 @@ def _point(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ConfigError(f"expected x,y,z point, got {text!r}")
     try:
-        return np.array([float(v) for v in parts])
+        point = np.array([float(v) for v in parts])
     except ValueError as exc:
         raise ConfigError(f"bad point {text!r}") from exc
+    if not np.all(np.isfinite(point)):
+        raise ConfigError(f"non-finite point {text!r}")
+    return point
 
 
 def _cmd_gen(args) -> int:

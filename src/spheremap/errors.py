@@ -19,7 +19,3 @@ class PayloadError(ParseError):
 
 class ConfigError(ValueError):
     """Invalid or infeasible configuration (world specs, parameter files, CLI args)."""
-
-
-class BudgetExceededError(RuntimeError):
-    """A planner ran out of its node-expansion budget before finding a path."""

@@ -2,12 +2,15 @@
 
 Edge costs follow the discretized criterion: a step contributes its length
 plus ``xi * max(0, d_max - mean clearance)^2 * length`` of risk. That risk
-expression is written once, in ``_risk``; ``transition_cost``, the per-map
-edge-cost table ``_graph_costs`` and RRT* all call it (grid A* inlines a copy
-in its per-neighbour loop). Planners over the sphere map (full graph and
-cached portal planning) and two occupancy-grid baselines (A* in safety /
-length-only mode, RRT*) all share this cost model, the Euclidean-distance
-heuristic, and the clearance floor ``r_min``.
+expression is written once, in ``_risk``, and ``transition_cost`` is the one
+step kernel around it, row-wise over any batch of steps. Path assembly
+(``_chain_cost``), the edge-cost table ``_graph_costs``, endpoint and portal
+steps, and RRT*'s parent choice and rewiring all call the kernel; grid A*
+keeps a commented inline copy of ``_risk`` in its per-neighbour loop.
+Planners over the sphere map (full graph and cached portal planning) and two
+occupancy-grid baselines (A* in safety / length-only mode, RRT*) all share
+this cost model, the Euclidean-distance heuristic, and the clearance floor
+``r_min``.
 
 Every sphere-graph search runs on one best-first kernel, ``_best_first``,
 over adjacency lists of (neighbour, weight): A* over the whole graph, A*
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import BudgetExceededError
 from .spatial import ObstacleIndex
 from .voxelgrid import FREE, OccupancyGrid, grid_obstacles
 
@@ -44,6 +46,8 @@ class PlannerParams:
     r_min: float = 0.8
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.xi, self.d_max, self.r_min)):
+            raise ValueError("xi, d_max and r_min must be finite")
         if self.xi < 0:
             raise ValueError("xi must be non-negative")
         if not self.d_max >= self.r_min > 0:
@@ -83,21 +87,29 @@ def _risk(dl, r_sum, params: PlannerParams):
     return params.xi * m * m * dl
 
 
-def transition_cost(p1, r1: float, p2, r2: float, params: PlannerParams) -> tuple[float, float]:
-    """(length, risk) increment of a straight step between two cleared points."""
-    dl = float(np.linalg.norm(np.asarray(p1, dtype=float) - np.asarray(p2, dtype=float)))
-    return dl, float(_risk(dl, r1 + r2, params))
+def transition_cost(p1, r1, p2, r2, params: PlannerParams):
+    """(length, risk) of straight steps between cleared points: points or
+    broadcasting (n, 3) rows, with clearances to match. ``sqrt(vecdot)``
+    rounds each row as the 1-D ``np.linalg.norm`` does (``norm(axis=1)``
+    does not), so a step costs the same in any batch."""
+    delta = np.asarray(p1, dtype=float) - np.asarray(p2, dtype=float)
+    dl = np.sqrt(np.vecdot(delta, delta))
+    return dl, _risk(dl, np.add(r1, r2), params)
 
 
 def _chain_cost(waypoints, clearances, params: PlannerParams) -> tuple[float, float]:
-    length = 0.0
-    risk = 0.0
-    for i in range(len(waypoints) - 1):
-        dl, dz = transition_cost(waypoints[i], clearances[i],
-                                 waypoints[i + 1], clearances[i + 1], params)
-        length += dl
-        risk += dz
-    return length, risk
+    """(length, risk) of a waypoint chain: one kernel call over its steps,
+    summed in path order (``np.cumsum`` adds sequentially, ``np.sum`` in pairs)."""
+    w, c = np.asarray(waypoints, dtype=float), np.asarray(clearances)
+    dl, dz = transition_cost(w[:-1], c[:-1], w[1:], c[1:], params)
+    sums = np.cumsum([np.append(0.0, dl), np.append(0.0, dz)], axis=1)
+    return float(sums[0, -1]), float(sums[1, -1])
+
+
+def _plan_result(waypoints, clearances, mode, t0, params: PlannerParams) -> PlanResult:
+    length, risk = _chain_cost(waypoints, clearances, params)
+    return PlanResult(waypoints, clearances, length, risk, mode,
+                      planning_time=time.perf_counter() - t0)
 
 
 def evaluate_path(waypoints, clearance_source, params: PlannerParams):
@@ -105,8 +117,6 @@ def evaluate_path(waypoints, clearance_source, params: PlannerParams):
     from ``clearance_source.nearest_distance``."""
     waypoints = np.asarray(waypoints, dtype=float).reshape(-1, 3)
     clearances = np.array([clearance_source.nearest_distance(p) for p in waypoints])
-    if len(waypoints) == 1:
-        return 0.0, 0.0, 0.0, float(clearances[0])
     length, risk = _chain_cost(waypoints, clearances, params)
     return length, risk, length + risk, float(np.min(clearances))
 
@@ -116,23 +126,24 @@ def evaluate_path(waypoints, clearance_source, params: PlannerParams):
 # ----------------------------------------------------------------------
 
 def _attach(smap, p, segmented_only=False):
-    """Containing sphere with the largest clearance margin r - |p - center|."""
+    """Containing sphere with the largest clearance margin r - |p - center|,
+    the first in ``NodeIndex.query`` order on a tie; (None, -inf) if none."""
     p = np.asarray(p, dtype=float)
-    best = None
-    best_margin = -math.inf
-    for nid in smap.node_index.within_radius(p, smap.params.r_cap):
-        node = smap.nodes[nid]
-        if segmented_only and node.segment is None:
-            continue
-        margin = node.r - float(np.linalg.norm(p - node.p))
-        if margin >= 0.0 and margin > best_margin:
-            best, best_margin = nid, margin
-    return best, best_margin
+    ids, pos, radii, _ = smap.node_index.query(p, smap.params.r_cap)
+    delta = p - pos
+    margin = radii - np.sqrt(np.vecdot(delta, delta))
+    ok = margin >= 0.0
+    if segmented_only:
+        ok[ok] = [smap.nodes[i].segment is not None for i in ids[ok].tolist()]
+    if not ok.any():
+        return None, -math.inf
+    k = int(np.argmax(np.where(ok, margin, -np.inf)))
+    return int(ids[k]), float(margin[k])
 
 
 def _step_cost(p1, r1, p2, r2, params: PlannerParams) -> float:
     dl, dz = transition_cost(p1, r1, p2, r2, params)
-    return dl + dz
+    return float(dl + dz)
 
 
 def _graph_costs(smap, params: PlannerParams) -> dict[int, list[tuple[int, float]]]:
@@ -146,9 +157,10 @@ def _graph_costs(smap, params: PlannerParams) -> dict[int, list[tuple[int, float
     if edges:
         na = [smap.nodes[a] for a, _ in edges]
         nb = [smap.nodes[b] for _, b in edges]
-        dl = np.linalg.norm(np.array([n.p for n in na]) - np.array([n.p for n in nb]), axis=1)
-        r_sum = np.array([n.r for n in na]) + np.array([n.r for n in nb])
-        w = dl + _risk(dl, r_sum, params)
+        dl, dz = transition_cost(np.array([n.p for n in na]), np.array([n.r for n in na]),
+                                 np.array([n.p for n in nb]), np.array([n.r for n in nb]),
+                                 params)
+        w = dl + dz
         for (a, b), wf in zip(edges, w.tolist()):
             adj[a].append((b, wf))
             adj[b].append((a, wf))
@@ -224,9 +236,7 @@ def _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
     nodes = smap.nodes
     waypoints = np.vstack([start] + [nodes[i].p for i in node_path] + [goal])
     clearances = np.array([s_margin] + [nodes[i].r for i in node_path] + [g_margin])
-    length, risk = _chain_cost(waypoints, clearances, params)
-    return PlanResult(waypoints, clearances, length, risk, mode,
-                      planning_time=time.perf_counter() - t0)
+    return _plan_result(waypoints, clearances, mode, t0, params)
 
 
 def astar_sphere_graph(smap, start, goal, params: PlannerParams) -> PlanResult | None:
@@ -239,8 +249,7 @@ def astar_sphere_graph(smap, start, goal, params: PlannerParams) -> PlanResult |
     if s_id is None or g_id is None:
         return None
     if np.array_equal(start, goal):
-        return PlanResult(start.reshape(1, 3), np.array([s_margin]), 0.0, 0.0,
-                          "full-graph", planning_time=time.perf_counter() - t0)
+        return _plan_result(start.reshape(1, 3), np.array([s_margin]), "full-graph", t0, params)
     nodes = smap.nodes
     source = {s_id: _step_cost(start, s_margin, nodes[s_id].p, nodes[s_id].r, params)}
     found = _best_first(_graph_costs(smap, params), source, g_id, _distance_to(nodes, goal))
@@ -290,8 +299,7 @@ def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
     if s_id is None or g_id is None:
         return None
     if np.array_equal(start, goal):
-        return PlanResult(start.reshape(1, 3), np.array([s_margin]), 0.0, 0.0,
-                          "cached", planning_time=time.perf_counter() - t0)
+        return _plan_result(start.reshape(1, 3), np.array([s_margin]), "cached", t0, params)
     nodes = smap.nodes
     s_label, g_label = nodes[s_id].segment, nodes[g_id].segment
     adj = _graph_costs(smap, params)
@@ -367,13 +375,11 @@ _GRID_OFFSETS = [(di, dj, dk) for di in (-1, 0, 1) for dj in (-1, 0, 1)
 
 
 def grid_astar(grid: OccupancyGrid, start, goal, params: PlannerParams,
-               mode: str = "safety", field: ClearanceField | None = None,
-               budget: int | None = None) -> PlanResult | None:
+               mode: str = "safety", field: ClearanceField | None = None) -> PlanResult | None:
     """Optimal A* over 26-connected free voxels whose clearance exceeds r_min.
 
     ``mode`` 'safety' uses the risk-augmented transition cost with per-voxel
-    clearances; 'length-only' uses pure path length. A node-expansion budget
-    overrun raises BudgetExceededError.
+    clearances; 'length-only' uses pure path length.
     """
     if mode not in ("safety", "length-only"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -421,19 +427,13 @@ def grid_astar(grid: OccupancyGrid, start, goal, params: PlannerParams,
     g_score[s_idx] = 0.0
     h0 = heur(s_idx)
     heap = [(h0, h0, s_idx)]
-    expansions = 0
-    found = False
     while heap:
         _, _, u = heapq.heappop(heap)
         if closed[u]:
             continue
         closed[u] = 1
         if u == g_idx:
-            found = True
             break
-        expansions += 1
-        if budget is not None and expansions > budget:
-            raise BudgetExceededError(f"grid A* exceeded {budget} expansions")
         gu = g_score[u]
         cu = clear_flat[u]
         for off, dl in offsets:
@@ -452,30 +452,23 @@ def grid_astar(grid: OccupancyGrid, start, goal, params: PlannerParams,
                 came[v] = u
                 hv = heur(v)
                 heapq.heappush(heap, (alt + hv, hv, v))
-    if not found:
+    else:
         return None
 
-    idx_path = [g_idx]
-    while idx_path[-1] != s_idx:
-        idx_path.append(came[idx_path[-1]])
-    idx_path.reverse()
-    vox = []
-    for v in idx_path:
-        k = v % pnz - 1
-        rest = v // pnz
-        vox.append((rest // pny - 1, rest % pny - 1, k))
-    waypoints = grid.origin + res * (np.array(vox, dtype=float) + 0.5)
-    clearances = np.array([field.field[v] for v in vox])
-    length, risk = _chain_cost(waypoints, clearances, params)
-    mode_name = "grid" if safety else "grid-length"
-    return PlanResult(waypoints, clearances, length, risk, mode_name,
-                      planning_time=time.perf_counter() - t0)
+    vox = np.column_stack(np.unravel_index(_unwind(came, g_idx), (nx + 2, pny, pnz))) - 1
+    waypoints = grid.origin + res * (vox + 0.5)
+    return _plan_result(waypoints, field.field[tuple(vox.T)],
+                        "grid" if safety else "grid-length", t0, params)
+
+
+_RRT_STEP = 1.0           # steering step and goal-connection range (m)
+_RRT_REWIRE_RADIUS = 3.0  # parent-choice and rewiring neighbourhood (m)
+_RRT_GOAL_BIAS = 0.05     # share of samples drawn at the goal
 
 
 def rrt_star(grid: OccupancyGrid, start, goal, params: PlannerParams,
-             timeout: float = 10.0, step: float = 1.0, rewire_radius: float = 3.0,
-             seed: int = 0, field: ClearanceField | None = None,
-             goal_bias: float = 0.05, max_iters: int | None = None) -> PlanResult | None:
+             timeout: float = 10.0, seed: int = 0, field: ClearanceField | None = None,
+             max_iters: int | None = None) -> PlanResult | None:
     """RRT* returning its first solution (no post-solution optimization).
 
     Steering segments are validated by sampling clearance and the free-state
@@ -499,16 +492,12 @@ def rrt_star(grid: OccupancyGrid, start, goal, params: PlannerParams,
             return False
         return bool(np.all(field.nearest_distances(pts) > params.r_min))
 
-    if grid.state_at(start) != FREE or field.nearest_distance(start) <= params.r_min:
-        return None
-    if grid.state_at(goal) != FREE or field.nearest_distance(goal) <= params.r_min:
-        return None
-    if float(np.linalg.norm(goal - start)) <= step and segment_valid(start, goal):
-        waypoints = np.vstack([start, goal])
+    for p in (start, goal):
+        if grid.state_at(p) != FREE or field.nearest_distance(p) <= params.r_min:
+            return None
+    if float(np.linalg.norm(goal - start)) <= _RRT_STEP and segment_valid(start, goal):
         clearances = np.array([field.nearest_distance(start), field.nearest_distance(goal)])
-        length, risk = _chain_cost(waypoints, clearances, params)
-        return PlanResult(waypoints, clearances, length, risk, "rrt-star",
-                          planning_time=time.perf_counter() - t0)
+        return _plan_result(np.vstack([start, goal]), clearances, "rrt-star", t0, params)
 
     cap = 4096
     pos = np.empty((cap, 3))
@@ -523,37 +512,33 @@ def rrt_star(grid: OccupancyGrid, start, goal, params: PlannerParams,
     lo, hi = grid.world_min(), grid.world_max()
     iters = 0
     deadline = t0 + timeout
-
-    def edge_cost(i, q, cq):
-        dl = float(np.linalg.norm(pos[i] - q))
-        return dl + _risk(dl, clear[i] + cq, params)
-
     while True:
         iters += 1
         if max_iters is not None and iters > max_iters:
             return None
         if iters % 32 == 0 and time.perf_counter() > deadline:
             return None
-        q = goal if rng.random() < goal_bias else rng.uniform(lo, hi)
+        q = goal if rng.random() < _RRT_GOAL_BIAS else rng.uniform(lo, hi)
         d2 = np.einsum("ij,ij->i", pos[:n] - q, pos[:n] - q)
         j = int(np.argmin(d2))
         dist = math.sqrt(float(d2[j]))
         if dist < 1e-9:
             continue
-        q_new = pos[j] + (q - pos[j]) * (min(step, dist) / dist)
+        q_new = pos[j] + (q - pos[j]) * (min(_RRT_STEP, dist) / dist)
         cq = field.nearest_distance(q_new)
         if cq <= params.r_min:
             continue
         d2n = np.einsum("ij,ij->i", pos[:n] - q_new, pos[:n] - q_new)
-        near = np.flatnonzero(d2n <= rewire_radius * rewire_radius)
+        near = np.flatnonzero(d2n <= _RRT_REWIRE_RADIUS * _RRT_REWIRE_RADIUS)
         if j not in near:
             near = np.append(near, j)
+        dl, dz = transition_cost(pos[near], clear[near], q_new, cq, params)
+        w = dl + dz
         best_parent = -1
         best_cost = math.inf
-        for k in near:
-            c = cost[k] + edge_cost(int(k), q_new, cq)
+        for k, c in zip(near.tolist(), (cost[near] + w).tolist()):
             if c < best_cost and segment_valid(pos[k], q_new):
-                best_parent, best_cost = int(k), c
+                best_parent, best_cost = k, c
         if best_parent < 0:
             continue
         if n == cap:
@@ -565,20 +550,18 @@ def rrt_star(grid: OccupancyGrid, start, goal, params: PlannerParams,
         pos[n], clear[n], cost[n], parent[n] = q_new, cq, best_cost, best_parent
         new_id = n
         n += 1
-        for k in near:
+        for k, wk in zip(near.tolist(), w.tolist()):
             if k == best_parent:
                 continue
-            alt = best_cost + edge_cost(new_id, pos[k], clear[k])
+            alt = best_cost + wk
             if alt < cost[k] and segment_valid(q_new, pos[k]):
                 parent[k] = new_id
                 cost[k] = alt
-        if float(np.linalg.norm(q_new - goal)) <= step and segment_valid(q_new, goal):
+        if float(np.linalg.norm(q_new - goal)) <= _RRT_STEP and segment_valid(q_new, goal):
             ids = [new_id]
             while parent[ids[-1]] >= 0:
                 ids.append(int(parent[ids[-1]]))
             ids.reverse()
-            waypoints = np.vstack([pos[ids], goal])
             clearances = np.concatenate([clear[ids], [field.nearest_distance(goal)]])
-            length, risk = _chain_cost(waypoints, clearances, params)
-            return PlanResult(waypoints, clearances, length, risk, "rrt-star",
-                              planning_time=time.perf_counter() - t0)
+            return _plan_result(np.vstack([pos[ids], goal]), clearances, "rrt-star", t0,
+                                params)

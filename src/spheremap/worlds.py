@@ -7,6 +7,7 @@ the free voxels sit in one component before a grid is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ class WorldSpec:
     def __post_init__(self):
         if self.kind not in ("corridor-maze", "perforated-cave", "room-grid"):
             raise ConfigError(f"unknown world kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (*self.extent, self.resolution,
+                                              *self.corridor_width_range,
+                                              *self.room_size_range, self.passage_width)):
+            raise ConfigError("world spec sizes must be finite")
         if self.resolution <= 0:
             raise ConfigError("resolution must be positive")
         if any(e <= 0 for e in self.extent):

@@ -72,11 +72,13 @@ def random_sphere_map(seed, max_nodes=50, box=20.0):
     return smap, start, goal
 
 
-def _attach_oracle(smap, p):
+def _attach_oracle(smap, p, segmented_only=False):
     best = None
     best_margin = -math.inf
     for nid in sorted(smap.nodes):
         node = smap.nodes[nid]
+        if segmented_only and node.segment is None:
+            continue
         margin = node.r - float(np.linalg.norm(np.asarray(p) - node.p))
         if margin >= 0.0 and margin > best_margin:
             best, best_margin = nid, margin

@@ -49,6 +49,20 @@ class TestGen:
                    "--out", str(tmp_path / "w.vxg")])
         assert rc == 2
 
+    @pytest.mark.parametrize("extent", ["nan,10,4", "inf,10,4", "10,-inf,4"])
+    def test_non_finite_extent(self, tmp_path, extent):
+        out = tmp_path / "w.vxg"
+        rc = main(["gen", "--kind", "corridor-maze", "--extent", extent, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_non_finite_resolution_in_params(self, tmp_path):
+        params = tmp_path / "w.params"
+        params.write_text("resolution=nan\n")
+        rc = main(["gen", "--kind", "room-grid", "--extent", "12,12,3",
+                   "--params", str(params), "--out", str(tmp_path / "w.vxg")])
+        assert rc == 2
+
 
 class TestPlan:
     def test_identical_from_to(self, world_file, map_file):
@@ -89,6 +103,20 @@ class TestPlan:
     def test_bad_map_path(self, world_file):
         rc = main(["plan", "--world", str(world_file), "--map", "/nonexistent.smp",
                    "--from", "1,1,1", "--to", "2,2,2", "--mode", "cached"])
+        assert rc == 2
+
+    @pytest.mark.parametrize("src, dst", [("nan,1,1", "5,5,2"), ("1,1,1", "5,inf,2")])
+    def test_non_finite_point(self, world_file, src, dst):
+        rc = main(["plan", "--world", str(world_file), "--from", src, "--to", dst,
+                   "--mode", "grid"])
+        assert rc == 2
+
+    @pytest.mark.parametrize("line", ["xi=nan", "xi=inf", "d_max=inf"])
+    def test_non_finite_planner_params(self, world_file, tmp_path, line):
+        params = tmp_path / "plan.params"
+        params.write_text(line + "\n")
+        rc = main(["plan", "--world", str(world_file), "--params", str(params),
+                   "--from", "2,2,1.5", "--to", "8,8,1.5", "--mode", "grid"])
         assert rc == 2
 
     def test_unknown_flag(self):

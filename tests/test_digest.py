@@ -3,6 +3,7 @@
 The tool is imported by path; no benchmark workload runs here.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -50,3 +51,14 @@ def test_plans_tell_a_missing_plan_from_a_found_one(small_map):
     with_plan = digest.plans_digest([("full", start, goal, found)])
     assert with_plan != digest.plans_digest([("full", start, goal, None)])
     assert with_plan == digest.plans_digest([("full", start.copy(), goal.copy(), found)])
+
+
+def test_plans_see_one_ulp_of_cost(small_map):
+    start, goal = np.array([2.0, 2.0, 1.5]), np.array([6.0, 6.0, 1.5])
+    found = astar_sphere_graph(small_map, start, goal, small_map.plan_params)
+    nudged = dataclasses.replace(found, length=float(np.nextafter(found.cost, np.inf)),
+                                 risk=0.0)
+    assert nudged.cost == np.nextafter(found.cost, np.inf)
+    np.testing.assert_array_equal(nudged.waypoints, found.waypoints)
+    assert (digest.plans_digest([("full", start, goal, nudged)])
+            != digest.plans_digest([("full", start, goal, found)]))

@@ -4,16 +4,15 @@ import time
 import numpy as np
 import pytest
 
-from spheremap import (FREE, OCCUPIED, BudgetExceededError, BuildParams,
-                       ClearanceField, ObstacleIndex, PlannerParams, Portal,
+from spheremap import (FREE, OCCUPIED, BuildParams, ClearanceField, ObstacleIndex, PlannerParams, Portal,
                        Segment, SphereMap, astar_nodes, astar_sphere_graph,
                        downsample, evaluate_path, grid_astar, plan_cached, rrt_star,
                        transition_cost)
-from spheremap.planner import _chain_cost
+from spheremap.planner import _attach, _chain_cost
 from spheremap.voxelgrid import grid_obstacles
 
 from conftest import box_room, two_rooms_with_corridor, wall_gap_room
-from oracles import random_sphere_map, ucs_node_cost, ucs_optimal
+from oracles import _attach_oracle, random_sphere_map, ucs_node_cost, ucs_optimal
 
 PARAMS = PlannerParams(xi=7.0, d_max=2.0, r_min=0.8)
 
@@ -22,6 +21,10 @@ class TestTransitionCost:
     def test_clearance_above_cutoff_zeroes_risk(self):
         dl, dz = transition_cost((0, 0, 0), 3.0, (4, 0, 0), 3.0, PlannerParams(d_max=2.0))
         assert (dl, dz) == (4.0, 0.0)
+        dl, dz = transition_cost([(0, 0, 0), (0, 1, 0)], [3.0, 0.5], (4, 0, 0), 3.0,
+                                 PlannerParams(d_max=2.0))
+        assert dl.tolist() == [4.0, math.sqrt(17.0)]
+        assert dz[0] == 0.0 and dz[1] > 0.0
 
     def test_direct_substitution(self):
         dl, dz = transition_cost((0, 0, 0), 1.0, (2, 0, 0), 1.0,
@@ -40,6 +43,65 @@ class TestTransitionCost:
             PlannerParams(xi=-1.0)
         with pytest.raises(ValueError):
             PlannerParams(d_max=0.5, r_min=0.8)
+        for bad in ({"xi": math.nan}, {"xi": math.inf}, {"d_max": math.inf},
+                    {"d_max": math.nan}, {"r_min": math.nan}):
+            with pytest.raises(ValueError):
+                PlannerParams(**bad)
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    def test_batch_rounds_as_the_one_dimensional_norm(self, quantize):
+        # The bit-identity of batched and one-at-a-time step costs rests on
+        # sqrt(vecdot) rounding each row as np.linalg.norm of that row does.
+        rng = np.random.default_rng(3)
+        p1 = rng.normal(size=(5000, 3)) * rng.uniform(0.01, 100.0, (5000, 1))
+        p2 = rng.uniform(-10.0, 10.0, (5000, 3))
+        if quantize:
+            p1, p2 = p1.astype(np.float32).astype(float), p2.astype(np.float32).astype(float)
+        r1, r2 = rng.uniform(0.8, 3.0, 5000), rng.uniform(0.8, 3.0, 5000)
+        dl, dz = transition_cost(p1, r1, p2, r2, PARAMS)
+        one = [transition_cost(a, ra, b, rb, PARAMS) for a, ra, b, rb in zip(p1, r1, p2, r2)]
+        assert dl.tolist() == [float(np.linalg.norm(a - b)) for a, b in zip(p1, p2)]
+        assert dz.tolist() == [float(z) for _, z in one]
+
+    def test_single_waypoint_chain_costs_nothing(self):
+        assert _chain_cost(np.array([[1.0, 2.0, 3.0]]), np.array([0.5]), PARAMS) == (0.0, 0.0)
+
+    def test_chain_sums_steps_in_path_order(self):
+        rng = np.random.default_rng(4)
+        waypoints = np.cumsum(rng.normal(size=(300, 3)), axis=0)
+        clearances = rng.uniform(0.8, 3.0, 300)
+        length = risk = 0.0
+        for i in range(299):
+            dl, dz = transition_cost(waypoints[i], clearances[i],
+                                     waypoints[i + 1], clearances[i + 1], PARAMS)
+            length += float(dl)
+            risk += float(dz)
+        assert _chain_cost(waypoints, clearances, PARAMS) == (length, risk)
+
+
+class TestAttach:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_oracle(self, seed):
+        smap, start, goal = random_sphere_map(seed)
+        rng = np.random.default_rng(seed)
+        probes = [start, goal] + list(rng.uniform(-2.0, 22.0, (20, 3)))
+        for p in probes:
+            assert _attach(smap, p) == _attach_oracle(smap, p)
+
+    def test_tie_picks_the_lower_id(self):
+        smap, ids = hand_map([((0, 0, 0), 1.5), ((2, 0, 0), 1.5), ((1, 3, 0), 1.0)])
+        probe = (1.0, 0.0, 0.0)
+        assert _attach(smap, probe) == _attach_oracle(smap, probe) == (ids[0], 0.5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_segmented_only_skips_unsegmented_nodes(self, seed):
+        smap, start, goal = random_sphere_map(seed)
+        for nid in sorted(smap.nodes)[::2]:
+            smap.nodes[nid].segment = 0
+        rng = np.random.default_rng(seed)
+        for p in [start, goal] + list(rng.uniform(-2.0, 22.0, (20, 3))):
+            expected = _attach_oracle(smap, p, segmented_only=True)
+            assert _attach(smap, p, segmented_only=True) == expected
 
 
 def edge_traversable(p1, r1, p2, r2, r_min):
@@ -368,13 +430,6 @@ class TestGridAstar:
                          grid.voxel_center((10, 3, 3)), PARAMS, field=field)
         assert res is None
 
-    def test_budget_exceeded(self):
-        grid = box_room((10.0, 5.0, 5.0), resolution=1.0)
-        field = ClearanceField(grid)
-        with pytest.raises(BudgetExceededError):
-            grid_astar(grid, grid.voxel_center((1, 3, 3)),
-                       grid.voxel_center((10, 3, 3)), PARAMS, field=field, budget=2)
-
     def test_safety_mode_trades_length_for_risk(self):
         # wall pocket next to the straight route: safety mode detours
         grid = box_room((20.0, 9.0, 5.0), resolution=1.0)
@@ -444,7 +499,7 @@ class TestRrtStar:
         field = ClearanceField(grid)
         start = np.array([4.0, 5.0, 5.0])
         goal = np.array([4.8, 5.0, 5.0])
-        res = rrt_star(grid, start, goal, PARAMS, step=1.0, seed=0, field=field)
+        res = rrt_star(grid, start, goal, PARAMS, seed=0, field=field)
         assert res is not None
         assert len(res.waypoints) == 2
         np.testing.assert_allclose(res.waypoints[0], start)

@@ -17,6 +17,18 @@ class TestWorldSpec:
         with pytest.raises(ConfigError):
             WorldSpec(kind="corridor-maze", extent=(10, 10, 4), passage_width=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"extent": (float("nan"), 10, 4)}, {"extent": (10, float("inf"), 4)},
+        {"resolution": float("nan")}, {"resolution": float("inf")},
+        {"corridor_width_range": (2.0, float("inf"))},
+        {"room_size_range": (float("nan"), 6.0)},
+        {"passage_width": float("inf")}, {"passage_width": float("nan")},
+    ])
+    def test_non_finite_sizes(self, bad):
+        spec = {"kind": "corridor-maze", "extent": (10, 10, 4)} | bad
+        with pytest.raises(ConfigError):
+            WorldSpec(**spec)
+
 
 class TestGenerators:
     def test_room_grid_single_room(self):
