@@ -94,6 +94,19 @@ def _check_unknown(overrides: dict[str, str], used: set[str]) -> None:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
 
 
+def _extra(overrides: dict[str, str], key: str, default, kind=float):
+    """An extra key's value, or ``default`` when it is absent: a positive
+    finite number, and a whole one when ``kind`` is int."""
+    text = overrides.get(key, default)
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value > 0 and (kind is float or value.is_integer())):
+        raise ConfigError(f"{key} must be a positive finite {kind.__name__}, got {text!r}")
+    return kind(value)
+
+
 def _point(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
@@ -126,8 +139,8 @@ def _cmd_build(args) -> int:
     params = _dataclass_overrides(BuildParams, overrides, used)
     _check_unknown(overrides, used)
     grid = load_grid(Path(args.world).read_bytes())
-    spacing = float(overrides.get("spacing", params.cube_side / 2.0))
-    passes = int(overrides.get("passes", 1))
+    spacing = _extra(overrides, "spacing", params.cube_side / 2.0)
+    passes = _extra(overrides, "passes", 1, int)
     smap, reports = build_spheremap(grid, params, seed=args.seed,
                                     spacing=spacing, passes=passes)
     Path(args.out).write_bytes(save_map(smap))
@@ -143,29 +156,31 @@ _MODE_ALIASES = {"cached": "cached", "full": "full-graph", "grid": "grid",
 
 def _cmd_plan(args) -> int:
     overrides = _load_overrides(args)
-    used: set[str] = set()
-    params = _dataclass_overrides(PlannerParams, overrides, used)
-    _check_unknown(overrides, used)
-    grid = load_grid(Path(args.world).read_bytes())
     mode = _MODE_ALIASES[args.mode]
-    start, goal = _point(args.src), _point(args.dst)
+    smap, base = None, {}
     if mode in ("cached", "full-graph"):
         if not args.map:
             raise ConfigError("--map is required for sphere-graph planning modes")
         smap = load_map(Path(args.map).read_bytes())
-        if mode == "cached":
-            result = plan_cached(smap, start, goal, params)
-        else:
-            result = astar_sphere_graph(smap, start, goal, params)
+        base = dataclasses.asdict(smap.plan_params)
+    used: set[str] = set()
+    params = _dataclass_overrides(PlannerParams, overrides, used, **base)
+    _check_unknown(overrides, used)
+    grid = load_grid(Path(args.world).read_bytes())
+    start, goal = _point(args.src), _point(args.dst)
+    if mode == "cached":
+        result = plan_cached(smap, start, goal, params)
+    elif mode == "full-graph":
+        result = astar_sphere_graph(smap, start, goal, params)
     else:
-        factor = int(overrides.get("grid_factor", 1))
+        factor = _extra(overrides, "grid_factor", 1, int)
         planning_grid = downsample(grid, factor) if factor > 1 else grid
         # Measured against the world's obstacles, so that a path planned on a
         # downsampled grid keeps r_min in the world too.
         field = ClearanceField(planning_grid, obstacles=grid_obstacles(grid))
         if mode == "rrt-star":
             result = rrt_star(planning_grid, start, goal, params,
-                              timeout=float(overrides.get("rrt_timeout", 10.0)),
+                              timeout=_extra(overrides, "rrt_timeout", 10.0),
                               seed=args.seed, field=field)
         else:
             result = grid_astar(planning_grid, start, goal, params,
@@ -195,8 +210,7 @@ def _cmd_bench(args) -> int:
     overrides = _load_overrides(args)
     used: set[str] = set()
     build_params = _dataclass_overrides(BuildParams, overrides, used)
-    plan_params = PlannerParams(xi=build_params.xi, d_max=build_params.d_max,
-                                r_min=build_params.r_min)
+    plan_params = build_params.planner_params()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -208,10 +222,10 @@ def _cmd_bench(args) -> int:
         world = generate_world(spec)
     _check_unknown(overrides, used)
 
-    spacing = float(overrides.get("spacing", build_params.cube_side / 2.0))
-    grid_factor = int(overrides.get("grid_factor", 2))
-    rrt_timeout = float(overrides.get("rrt_timeout", 10.0))
-    n_goals = int(overrides.get("goals", 5))
+    spacing = _extra(overrides, "spacing", build_params.cube_side / 2.0)
+    grid_factor = _extra(overrides, "grid_factor", 2, int)
+    rrt_timeout = _extra(overrides, "rrt_timeout", 10.0)
+    n_goals = _extra(overrides, "goals", 5, int)
 
     suites = [args.suite] if args.suite != "all" else ["multi-goal", "single-goal",
                                                        "compression"]
@@ -247,7 +261,7 @@ def _compression_trace(world, overrides) -> MissionTrace:
     mid = 0.5 * (lo + hi)
     xs = np.linspace(lo[0] + 0.15 * (hi[0] - lo[0]), hi[0] - 0.15 * (hi[0] - lo[0]), 8)
     waypoints = np.column_stack([xs, np.full(8, mid[1]), np.full(8, mid[2])])
-    return MissionTrace(waypoints, sensor_range=float(overrides.get("sensor_range", 20.0)),
+    return MissionTrace(waypoints, sensor_range=_extra(overrides, "sensor_range", 20.0),
                         az_step_deg=2.0, el_step_deg=2.0)
 
 

@@ -14,6 +14,7 @@ has a single mutator; planning reads it between iterations.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -161,10 +162,6 @@ class SphereMap:
                 if a < b:
                     yield a, b
 
-    def _radius_bound(self) -> float:
-        """The largest live node radius (0.0 for an empty map)."""
-        return self.node_index.max_aux()
-
     def _add_node(self, p, r: float, nid: int | None = None) -> int:
         """Insert a sphere under a fresh id, or under ``nid`` (map loading)."""
         if nid is None:
@@ -211,11 +208,11 @@ class SphereMap:
 
     def _recompute_edges(self, nid: int):
         """Re-derive this node's adjacency from the intersection rule; return
-        the neighbours' ids, radii and distances as ``NodeIndex.query`` does."""
+        the neighbours' ids, positions and radii."""
         node = self.nodes[nid]
-        ids, _, aux, d = self.node_index.query(node.p, node.r + self._radius_bound())
+        ids, pos, aux, d = self.node_index.query(node.p, node.r + self.node_index.max_aux())
         keep = (geometry.intersection_radii(d, node.r, aux) > self.params.r_min) & (ids != nid)
-        ids, aux, d = ids[keep], aux[keep], d[keep]
+        ids, pos, aux = ids[keep], pos[keep], aux[keep]
         new_nbrs = {int(i) for i in ids}
         old = self.adj[nid]
         for nb in new_nbrs - old:
@@ -228,32 +225,27 @@ class SphereMap:
             self.adj[nid] = new_nbrs
             self._mark_altered(nid)
             self.mutation_token += 1
-        return ids, aux, d
+        return ids, pos, aux
 
-    def _is_redundant_point(self, p: np.ndarray, r: float, strict: bool = True) -> bool:
-        """True iff a larger sphere covers >= kappa of this one's volume.
-
-        ``strict`` demands a strictly larger coverer; the candidate sieve in
-        expansion relaxes this to equal-or-larger so resampling the same spot
-        converges instead of stacking twins. A strict test never counts a live
-        node against itself, whose radius equals ``r``. A coverer at useful
-        kappa must contain the center, so its own center lies within the live
-        radius bound of ``p``.
+    def _covering(self, pts: np.ndarray, radii: np.ndarray, pos: np.ndarray, aux: np.ndarray,
+                  strict: bool):
+        """The one coverage rule: ``covers[i, j]`` iff sphere j (``pos[j]``,
+        ``aux[j]``) holds >= kappa of query sphere i (``pts[i]``, ``radii[i]``)
+        and is larger (or, not ``strict``, as large); ``d`` holds the center
+        distances, bit-equal to ``NodeIndex.query``'s. Expansion is not strict,
+        so resampling a spot converges instead of stacking twins.
         """
-        bound = self._radius_bound()
-        if bound < r or (strict and bound <= r):
-            return False
-        query_r = bound if self.params.kappa >= 0.5 else r + bound
-        _, _, aux, d = self.node_index.query(p, query_r)
-        bigger = (aux > r) if strict else (aux >= r)
-        if not bigger.any():
-            return False
-        frac = geometry.covered_fractions(r, d[bigger], aux[bigger])
-        return bool(np.any(frac >= self.params.kappa))
+        delta = pts[:, None, :] - pos[None, :, :]
+        d = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
+        frac = geometry.coverage_matrix(radii, d, aux)
+        bigger = (aux[None, :] > radii[:, None]) if strict else (aux[None, :] >= radii[:, None])
+        return (frac >= self.params.kappa) & bigger, d
 
     def is_redundant(self, nid: int) -> bool:
+        """True iff a strictly larger live node covers this one."""
         node = self.nodes[nid]
-        return self._is_redundant_point(node.p, node.r)
+        coverer, _ = self._find_coverers(node.p[None, :], np.array([node.r]), strict=True)
+        return bool(coverer[0] >= 0)
 
     def nodes_in_cube(self, cube: UpdateCube) -> list[int]:
         reach = cube.side / 2.0 * math.sqrt(3.0) + 1e-9
@@ -300,16 +292,16 @@ class SphereMap:
         """For each query sphere, the nearest covering node and its center
         distance: (ids, distances), -1 and inf where nothing covers.
 
-        The same test as :meth:`_is_redundant_point`, vectorized against all
-        nodes near each chunk's bounding box. It reads the map as it is now;
-        the caller re-verifies liveness, so a coverer is only a witness.
+        :meth:`_covering` against all nodes near each chunk's bounding box (a
+        coverer's center lies within the two radii of the query's center). It
+        reads the map as it is now; the caller re-verifies liveness, so a
+        coverer is only a witness.
         """
         out = np.full(len(pts), -1, dtype=np.int64)
         out_d = np.full(len(pts), np.inf)
         if not len(pts) or not self.nodes:
             return out, out_d
-        bound = self._radius_bound()
-        kappa = self.params.kappa
+        bound = self.node_index.max_aux()
         # Chunks of the candidate scan are spatially coherent, so each chunk
         # only needs the nodes around its own bounding box.
         for s in range(0, len(pts), 512):
@@ -320,12 +312,8 @@ class SphereMap:
             ids, pos, aux, _ = self.node_index.query(center, reach)
             if not len(ids):
                 continue
-            delta = pts[s:e, None, :] - pos[None, :, :]
-            d = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
-            frac = geometry.coverage_matrix(radii[s:e], d, aux)
-            bigger = (aux[None, :] > radii[s:e, None]) if strict \
-                else (aux[None, :] >= radii[s:e, None])
-            d[~((frac >= kappa) & bigger)] = np.inf
+            covers, d = self._covering(pts[s:e], radii[s:e], pos, aux, strict)
+            d[~covers] = np.inf
             near = d.argmin(axis=1)
             out_d[s:e] = d[np.arange(e - s), near]
             hit = out_d[s:e] < np.inf
@@ -342,8 +330,6 @@ class SphereMap:
         """
         ids = sorted((i for i in ids if i in self.nodes),
                      key=lambda i: (self.nodes[i].r, i))
-        if not ids:
-            return 0
         pts = np.array([self.nodes[i].p for i in ids])
         radii = np.array([self.nodes[i].r for i in ids])
         witness, _ = self._find_coverers(pts, radii, strict=True)
@@ -393,20 +379,20 @@ class SphereMap:
         return np.concatenate(parts, axis=0)
 
     def expand(self, index: ObstacleIndex, grid: OccupancyGrid, cube: UpdateCube, uav) -> dict:
-        """Add the sampled candidates that no live sphere covers.
+        """Add, in order, the sampled candidates that no live sphere covers
+        (:meth:`_covering`, not strict).
 
-        One non-strict ``_find_coverers`` sweep gives each candidate its
-        nearest coverer. One at distance 0.0 is a twin (a node on the
-        candidate's position, no smaller) and rules the candidate out even if
-        this loop has removed it since; that catches nearly every lattice
-        candidate of a converged cube. Any other witness is a hint: once it is
-        gone, ``_is_redundant_point`` decides.
+        One ``_find_coverers`` sweep gives each candidate a witness, and each
+        added sphere becomes the witness of the later candidates it covers.
+        The loop only adds and removes nodes, so only a candidate whose
+        witness has died needs a query. A sweep witness at distance 0.0 is a
+        twin (a node on the candidate's position, no smaller): it rules the
+        candidate out even after this loop removes it, which catches nearly
+        every lattice candidate of a converged cube.
         """
         stats = {"candidates": 0, "added": 0, "removed_redundant": 0}
         cands = self._sample_candidates(grid, cube, uav)
         stats["candidates"] = len(cands)
-        if not len(cands):
-            return stats
         cands = np.asarray(np.asarray(cands, dtype=np.float32), dtype=float)
         radii = np.minimum(index.nearest_distances(cands), self.params.r_cap)
         radii = np.asarray(np.asarray(radii, dtype=np.float32), dtype=float)
@@ -414,23 +400,23 @@ class SphereMap:
         cands, radii = cands[order], radii[order]
         witness, witness_d = self._find_coverers(cands, radii, strict=False)
         added_ids = []
-        for p, r, wit, wit_d in zip(cands, radii, witness, witness_d):
-            if wit_d == 0.0 or (wit >= 0 and int(wit) in self.nodes):
+        for i, p in enumerate(cands):
+            wit, r = int(witness[i]), radii[i:i + 1]
+            if witness_d[i] == 0.0 or wit in self.nodes:
                 continue
-            r = float(r)
-            if self._is_redundant_point(p, r, strict=False):
+            if wit >= 0 and self._find_coverers(p[None, :], r, strict=False)[0][0] >= 0:
                 continue
-            nid = self._add_node(p, r)
+            nid = self._add_node(p, r[0])
             added_ids.append(nid)
+            later, _ = self._covering(cands[i + 1:], radii[i + 1:], p[None, :], r, strict=False)
+            witness[i + 1:][later[:, 0]] = nid
             # Only the fresh sphere can have made a surviving neighbor
             # redundant, so a pairwise coverage check suffices.
-            nbrs, nbr_r, nbr_d = self._recompute_edges(nid)
-            smaller = nbr_r < r
-            if smaller.any():
-                frac = geometry.coverage_matrix(nbr_r[smaller], nbr_d[smaller, None], [r])
-                for nb in sorted(int(i) for i in nbrs[smaller][frac[:, 0] >= self.params.kappa]):
-                    self._remove_node(nb)
-                    stats["removed_redundant"] += 1
+            nbrs, nbr_p, nbr_r = self._recompute_edges(nid)
+            covered, _ = self._covering(nbr_p, nbr_r, p[None, :], r, strict=True)
+            for nb in sorted(int(j) for j in nbrs[covered[:, 0]]):
+                self._remove_node(nb)
+                stats["removed_redundant"] += 1
             stats["added"] += 1
         # New spheres are the only fresh coverage sources, and a coverer must
         # contain the covered center: sweeping nodes inside added spheres
@@ -511,11 +497,10 @@ class SphereMap:
     def _grow_segment(self, label: int) -> None:
         """Flood-fill unassigned nodes, keeping the bounding sphere within r_exp.
 
-        The bound is maintained incrementally (Ritter growth step per accepted
-        node), so each candidate test is O(1).
+        The bound grows by one Ritter step per accepted node, so each test is
+        O(1). A node inside the bound is accepted even when a merge or a large
+        seed has pushed the bound past r_exp.
         """
-        import heapq
-
         seg = self.segments[label]
         center = np.asarray(seg.center, dtype=float)
         radius = float(seg.radius)
@@ -537,18 +522,10 @@ class SphereMap:
             if nid not in self.nodes or self.nodes[nid].segment is not None:
                 continue
             node = self.nodes[nid]
-            gap = node.p - center
-            dist = float(np.linalg.norm(gap))
-            reach = dist + node.r
-            if reach > radius:
-                new_radius = (radius + reach) / 2.0
-                if new_radius > self.params.r_exp:
-                    continue
-                if dist > 1e-12:
-                    new_center = center + gap * ((reach - new_radius) / dist)
-                else:
-                    new_center = center
-                center, radius = new_center, new_radius
+            new_center, new_radius = geometry.ritter_step(center, radius, node.p, node.r)
+            if new_radius > max(radius, self.params.r_exp):
+                continue
+            center, radius = new_center, new_radius
             seg.members.add(nid)
             node.segment = label
             seg.altered = True

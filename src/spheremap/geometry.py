@@ -78,6 +78,19 @@ def coverage_matrix(r_small: np.ndarray, d: np.ndarray, r_big: np.ndarray) -> np
                      np.asarray(r_big, dtype=float)[None, :])
 
 
+def ritter_step(center: np.ndarray, radius: float, p: np.ndarray, r: float):
+    """Ritter's step: the bound (center, radius) grown just enough to hold (p, r)."""
+    gap = p - center
+    dist = float(np.linalg.norm(gap))
+    reach = dist + r
+    if reach <= radius:
+        return center, radius
+    new_radius = (radius + reach) / 2.0
+    if dist > 1e-12:
+        center = center + gap * ((reach - new_radius) / dist)
+    return center, new_radius
+
+
 def enclosing_sphere(positions: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, float]:
     """Centroid-seeded Ritter-style sphere enclosing a set of spheres.
 
@@ -88,14 +101,7 @@ def enclosing_sphere(positions: np.ndarray, radii: np.ndarray) -> tuple[np.ndarr
     center = positions.mean(axis=0)
     radius = 0.0
     for p, r in zip(positions, radii):
-        gap = p - center
-        dist = float(np.linalg.norm(gap))
-        reach = dist + r
-        if reach > radius:
-            new_radius = (radius + reach) / 2.0
-            if dist > 1e-12:
-                center = center + gap * ((reach - new_radius) / dist)
-            radius = new_radius
+        center, radius = ritter_step(center, radius, p, r)
     # Second pass absorbs floating-point slack so containment is exact.
     radius = float(np.max(np.linalg.norm(positions - center, axis=1) + radii))
     return center, radius

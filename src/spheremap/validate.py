@@ -133,9 +133,11 @@ def check_structure(smap) -> list[str]:
                 problems.append(f"cache {label}:{(u, v)} cost differs from recomputation")
 
     if cube is not None:
-        for nid in sorted(smap.nodes_in_cube(cube)):
-            if smap.is_redundant(nid):
-                problems.append(f"node {nid} inside update cube is redundant")
+        ids = sorted(smap.nodes_in_cube(cube))
+        pts, radii = [smap.nodes[i].p for i in ids], [smap.nodes[i].r for i in ids]
+        coverers, _ = smap._find_coverers(np.array(pts), np.array(radii), strict=True)
+        problems += [f"node {nid} inside update cube is redundant"
+                     for nid, wit in zip(ids, coverers) if wit >= 0]
     return problems
 
 

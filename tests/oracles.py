@@ -2,7 +2,7 @@
 
 Deliberately simple and separate from the package internals: uniform-cost
 search with its own cost arithmetic, a random sphere-map generator, and
-brute-force coverage oracles.
+brute-force coverage and redundancy oracles.
 """
 
 import heapq
@@ -12,6 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from spheremap import FREE, OCCUPIED, BuildParams, SphereMap, UpdateCube
+from spheremap.geometry import covered_fractions
 from spheremap.voxelgrid import frontier_points, obstacle_points
 
 
@@ -51,6 +52,48 @@ def coverable_mask(grid, centers, r_min, r_cap):
         dist2 = np.einsum("ijk,ijk->ij", delta, delta)
         out[s:e] = (dist2 < (reach[None, :]) ** 2).any(axis=1)
     return out
+
+
+def nearest_coverer(smap, p, r, strict):
+    """The nearest live node covering sphere (p, r), and its distance, or
+    (None, inf). Every live node is tried at its ``NodeIndex`` distance: it
+    covers if it is larger (strictly, or equal-or-larger when not strict)
+    and ``covered_fractions`` is at least kappa. Ties go to the lower id."""
+    ids, _, aux, d = smap.node_index.query(p, math.inf)
+    bigger = aux > r if strict else aux >= r
+    hit = np.flatnonzero(bigger & (covered_fractions(r, d, aux) >= smap.params.kappa))
+    if not len(hit):
+        return None, math.inf
+    return int(ids[hit[0]]), float(d[hit[0]])
+
+
+def expand_oracle(smap, index, cands):
+    """The (position, radius) pairs ``SphereMap.expand`` adds for these
+    candidates, in order, decided one candidate at a time on the whole map.
+
+    A candidate's radius is its clearance capped at r_cap, in float32. It is
+    skipped when the radius is below r_min, when the map as it was before
+    the first candidate held a coverer at distance 0 (a twin), or when a live
+    node covers it (not strict). An added sphere removes every neighbour it
+    covers strictly. No redundancy sweep follows.
+    """
+    cands = np.asarray(np.asarray(cands, dtype=np.float32), dtype=float)
+    radii = np.minimum(index.nearest_distances(cands), smap.params.r_cap)
+    radii = np.asarray(np.asarray(radii, dtype=np.float32), dtype=float)
+    twins = [nearest_coverer(smap, p, r, False)[1] == 0.0 for p, r in zip(cands, radii)]
+    added = []
+    for p, r, twin in zip(cands, radii, twins):
+        if r < smap.params.r_min or twin or nearest_coverer(smap, p, r, False)[0] is not None:
+            continue
+        nid = smap._add_node(p, r)
+        smap._recompute_edges(nid)
+        added.append((tuple(p.tolist()), float(r)))
+        ids, _, aux, d = smap.node_index.query(p, math.inf)
+        for nb, R, dist in zip(ids.tolist(), aux, d):
+            frac = covered_fractions(R, np.array([dist]), np.array([r]))[0]
+            if nb in smap.adj[nid] and R < r and frac >= smap.params.kappa:
+                smap._remove_node(nb)
+    return added
 
 
 def random_sphere_map(seed, max_nodes=50, box=20.0):

@@ -100,6 +100,24 @@ class TestPlan:
                    "--from", "5,5,1.5", "--to", "55,55,1.5", "--mode", "full"])
         assert rc == 1
 
+    @pytest.mark.parametrize("mode", ["cached", "full"])
+    def test_map_planner_params_are_the_defaults(self, world_file, tmp_path, mode):
+        # A map built with xi=0 plans without risk unless a params file says otherwise.
+        smap = tmp_path / "xi0.smp"
+        build = tmp_path / "build.params"
+        build.write_text("voxel_stride=2\ncube_side=14.0\nray_count=0\nspacing=7\nxi=0\n")
+        assert main(["build", "--world", str(world_file), "--out", str(smap),
+                     "--params", str(build)]) == 0
+        plan = tmp_path / "plan.params"
+        plan.write_text("xi=7\n")
+        risks = []
+        for extra in ([], ["--params", str(plan)]):
+            out = tmp_path / "plan.txt"
+            assert main(["plan", "--world", str(world_file), "--map", str(smap), "--mode", mode,
+                         "--from", "2,2,1.5", "--to", "8,8,1.5", "--out", str(out)] + extra) == 0
+            risks.append(float(out.read_text().split()[3]))
+        assert risks[0] == 0.0 < risks[1]
+
     def test_bad_map_path(self, world_file):
         rc = main(["plan", "--world", str(world_file), "--map", "/nonexistent.smp",
                    "--from", "1,1,1", "--to", "2,2,2", "--mode", "cached"])
@@ -129,6 +147,44 @@ class TestPlan:
         rc = main(["plan", "--world", str(bad), "--from", "1,1,1",
                    "--to", "2,2,2", "--mode", "grid"])
         assert rc == 2
+
+
+class TestExtraKeys:
+    @pytest.mark.parametrize("line", ["spacing=abc", "spacing=0", "spacing=-7", "spacing=nan",
+                                      "spacing=inf", "spacing=1e999", "passes=1.5", "passes=0",
+                                      "passes=two"])
+    def test_build_rejects_bad_values(self, world_file, tmp_path, line):
+        params = tmp_path / "build.params"
+        params.write_text(f"voxel_stride=2\ncube_side=14.0\nray_count=0\n{line}\n")
+        out = tmp_path / "map.smp"
+        rc = main(["build", "--world", str(world_file), "--out", str(out),
+                   "--params", str(params)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["grid_factor=1.5", "grid_factor=0", "grid_factor=x"])
+    def test_plan_rejects_bad_grid_factor(self, world_file, tmp_path, line):
+        params = tmp_path / "plan.params"
+        params.write_text(line + "\n")
+        rc = main(["plan", "--world", str(world_file), "--params", str(params),
+                   "--from", "2,2,1.5", "--to", "8,8,1.5", "--mode", "grid"])
+        assert rc == 2
+
+    @pytest.mark.parametrize("line", ["goals=0", "goals=2.5", "rrt_timeout=-1",
+                                      "rrt_timeout=nan", "grid_factor=inf", "spacing=0"])
+    def test_bench_rejects_bad_values(self, world_file, tmp_path, line):
+        params = tmp_path / "p.params"
+        params.write_text(f"voxel_stride=2\ncube_side=14.0\nray_count=0\n{line}\n")
+        rc = main(["bench", "--suite", "single-goal", "--world", str(world_file),
+                   "--out", str(tmp_path / "b"), "--params", str(params)])
+        assert rc == 2
+
+    def test_whole_numbers_are_accepted(self, world_file, tmp_path):
+        params = tmp_path / "build.params"
+        params.write_text("voxel_stride=2\ncube_side=14.0\nray_count=0\nspacing=7\npasses=2.0\n")
+        rc = main(["build", "--world", str(world_file), "--out", str(tmp_path / "m.smp"),
+                   "--params", str(params)])
+        assert rc == 0
 
 
 class TestExportLtv:

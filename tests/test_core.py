@@ -8,6 +8,7 @@ from spheremap import (FREE, OCCUPIED, BuildParams, ObstacleIndex, OccupancyGrid
 from spheremap.geometry import covered_fractions
 
 from conftest import box_room, spherical_cavity, two_rooms_with_corridor
+from oracles import expand_oracle, nearest_coverer
 
 
 def make_map(**kwargs):
@@ -107,7 +108,7 @@ def random_map(seed, kappa=0.6, n=60):
 
 
 class TestCoverageRule:
-    """The sweep, the single-sphere test and the neighbour query share one rule."""
+    """Every redundancy decision agrees with a brute-force whole-map oracle."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
@@ -122,14 +123,55 @@ class TestCoverageRule:
                                 [n.r * 0.9 for n in live]])
         radii = np.asarray(np.asarray(radii, dtype=np.float32), dtype=float)
         ids, dists = smap._find_coverers(pts, radii, strict=strict)
-        verdicts = [smap._is_redundant_point(p, float(r), strict=strict)
-                    for p, r in zip(pts, radii)]
-        assert list(ids >= 0) == verdicts
-        assert np.array_equal(np.isfinite(dists), ids >= 0)
-        assert 0 < sum(verdicts) < len(verdicts)
-        for i in np.flatnonzero(ids >= 0):
-            q_ids, _, _, q_d = smap.node_index.query(pts[i], math.inf)
-            assert dists[i] == q_d[q_ids == ids[i]][0]
+        expected = [nearest_coverer(smap, p, float(r), strict) for p, r in zip(pts, radii)]
+        assert ids.tolist() == [-1 if nid is None else nid for nid, _ in expected]
+        assert dists.tolist() == [d for _, d in expected]
+        assert 0 < np.count_nonzero(ids >= 0) < len(ids)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
+    def test_is_redundant_agrees_with_the_oracle(self, seed, kappa):
+        smap, _ = random_map(seed, kappa)
+        verdicts = {nid: smap.is_redundant(nid) for nid in smap.nodes}
+        assert verdicts == {nid: nearest_coverer(smap, n.p, n.r, True)[0] is not None
+                            for nid, n in smap.nodes.items()}
+        assert 0 < sum(verdicts.values()) < len(verdicts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
+    def test_expand_adds_what_the_sequential_oracle_adds(self, seed, kappa):
+        # Dense candidates in and around a random map: most are covered by
+        # the map, by an earlier candidate or by a neighbour that an earlier
+        # candidate then removes; some repeat a node's centre or each other.
+        smap, rng = random_map(seed, kappa)
+        oracle_map, _ = random_map(seed, kappa)
+        cands = rng.uniform(-4.0, 4.0, (400, 3))
+        cands[::40] = [n.p for n in list(smap.nodes.values())[:10]]
+        cands[1::50] = cands[:400:50]
+        index = ObstacleIndex(rng.uniform(-9.0, 9.0, (60, 3)))
+        expected = expand_oracle(oracle_map, index, cands)
+        added = []
+        add = smap._add_node
+        smap._add_node = lambda p, r: added.append((tuple(p.tolist()), float(r))) or add(p, r)
+        smap._sample_candidates = lambda *args: cands
+        stats = smap.expand(index, open_space(), UpdateCube((0, 0, 0), 8.0), np.zeros(3))
+        assert added == expected
+        assert stats["added"] == len(expected) > 0
+
+    def test_twin_removed_by_the_loop_still_rules_its_candidate_out(self):
+        # The first candidate (r 2.0) covers the node at the origin (r 1.0)
+        # at 0.305 >= kappa and removes it; the second candidate sits on that
+        # node's centre with r 0.8 and is covered only 0.296 by the first.
+        smap = make_map(kappa=0.3)
+        add_node(smap, (0, 0, 0), 1.0)
+        cands = np.array([[2.15, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        index = ObstacleIndex(np.array([[-0.8, 0.0, 0.0], [4.15, 0.0, 0.0]]))
+        smap._sample_candidates = lambda *args: cands
+        stats = smap.expand(index, open_space(), UpdateCube((0, 0, 0), 8.0), np.zeros(3))
+        assert (stats["added"], stats["removed_redundant"]) == (1, 1)
+        oracle_map = make_map(kappa=0.3)
+        add_node(oracle_map, (0, 0, 0), 1.0)
+        assert len(expand_oracle(oracle_map, index, cands)) == 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_probe_on_a_node_centre_finds_that_node(self, seed):
@@ -143,14 +185,11 @@ class TestCoverageRule:
     def test_recompute_edges_returns_the_neighbours(self, seed):
         smap, _ = random_map(seed)
         for nid in sorted(smap.nodes):
-            node = smap.nodes[nid]
-            ids, radii, dists = smap._recompute_edges(nid)
+            ids, pos, radii = smap._recompute_edges(nid)
             assert set(ids.tolist()) == smap.adj[nid]
             assert len(ids) == len(smap.adj[nid])
+            assert pos.tolist() == [smap.nodes[int(i)].p.tolist() for i in ids]
             assert radii.tolist() == [smap.nodes[int(i)].r for i in ids]
-            q_ids, _, _, q_d = smap.node_index.query(node.p, math.inf)
-            expected = dict(zip(q_ids.tolist(), q_d.tolist()))
-            assert dists.tolist() == [expected[int(i)] for i in ids]
 
 
 class TestRecomputeAndPrune:
