@@ -1,6 +1,6 @@
 """Incremental sphere-graph free-space maps for safety-aware path planning."""
 
-from .core import BuildParams, IterationReport, Portal, Segment, SphereMap, SphereNode
+from .core import BuildParams, IterationReport, Portal, Segment, SphereMap
 from .errors import BadMagicError, ConfigError, ParseError, PayloadError, TruncatedError
 from .geometry import enclosing_sphere, intersection_radius
 from .ltv import (LtvMap, LtvSegment, decode, encode, encoded_size, extract,

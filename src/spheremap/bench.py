@@ -83,9 +83,9 @@ def mission_trace_through(world: OccupancyGrid, start, goal, step: float = 3.0,
 
 
 def pick_start(smap) -> np.ndarray:
-    """Deterministic start point: center of the widest sphere."""
-    nid = max(smap.nodes, key=lambda i: (smap.nodes[i].r, -i))
-    return smap.nodes[nid].p.copy()
+    """Deterministic start point: center of the widest sphere, the lowest id on a tie."""
+    ids = sorted(smap.adj)
+    return smap.node_index.row(ids[int(np.argmax(smap.node_index.rows(ids)[1]))])[0]
 
 
 def sample_goal_nodes(smap, n: int, seed: int = 0, margin: float = 0.5) -> list[np.ndarray]:
@@ -93,11 +93,13 @@ def sample_goal_nodes(smap, n: int, seed: int = 0, margin: float = 0.5) -> list[
     distinct segments where possible."""
     rng = np.random.default_rng(seed)
     by_seg: dict[int, list[int]] = {}
-    for nid in sorted(smap.nodes):
-        node = smap.nodes[nid]
-        if node.segment is None or node.r <= smap.params.r_min + margin:
+    ids = sorted(smap.adj)
+    _, radii = smap.node_index.rows(ids)
+    for nid, r in zip(ids, radii.tolist()):
+        label = smap.segment_of[nid]
+        if label is None or r <= smap.params.r_min + margin:
             continue
-        by_seg.setdefault(node.segment, []).append(nid)
+        by_seg.setdefault(label, []).append(nid)
     labels = sorted(by_seg)
     rng.shuffle(labels)
     goals: list[np.ndarray] = []
@@ -106,7 +108,7 @@ def sample_goal_nodes(smap, n: int, seed: int = 0, margin: float = 0.5) -> list[
         for label in labels:
             ids = by_seg[label]
             pick = ids.pop(int(rng.integers(len(ids))))
-            goals.append(smap.nodes[pick].p.copy())
+            goals.append(smap.node_index.row(pick)[0])
             if len(goals) >= n:
                 break
             if ids:
@@ -141,12 +143,22 @@ def _run_mode(mode, smap, coarse, coarse_field, start, goals, params,
     return results, times
 
 
-def _fields(world: OccupancyGrid, grid_factor: int):
-    """(coarse grid, its clearance field, the world's obstacle index), the
-    field measured against the index's points."""
+def _run_modes(world: OccupancyGrid, smap, start, goals, params: PlannerParams,
+               grid_factor: int, rrt_timeout: float, rrt_seed: int, modes):
+    """({mode: (results, times, evaluations)}, fields): every mode run to every
+    goal, each found path evaluated on the world's obstacle set (None if not
+    found); the coarse grid's clearance field is measured against that set."""
     coarse = downsample(world, grid_factor)
-    fine = ObstacleIndex(grid_obstacles(world))
-    return coarse, ClearanceField(coarse, obstacles=fine.points), fine
+    fine_field = ObstacleIndex(grid_obstacles(world))
+    coarse_field = ClearanceField(coarse, obstacles=fine_field.points)
+    runs = {}
+    for mode in modes:
+        results, times = _run_mode(mode, smap, coarse, coarse_field, start, goals,
+                                   params, rrt_timeout, rrt_seed)
+        evals = [None if r is None else evaluate_path(r.waypoints, fine_field, params)
+                 for r in results]
+        runs[mode] = results, times, evals
+    return runs, {"fine_field": fine_field, "coarse": coarse, "coarse_field": coarse_field}
 
 
 def scenario_multi_goal(world: OccupancyGrid, smap, start, goals,
@@ -161,27 +173,21 @@ def scenario_multi_goal(world: OccupancyGrid, smap, start, goals,
     they honour ``r_min`` in the world and not only on the coarse grid.
     Every found path is evaluated on that same world set (``fine_field``).
     """
-    coarse, coarse_field, fine_field = _fields(world, grid_factor)
+    runs, fields = _run_modes(world, smap, start, goals, params, grid_factor,
+                              rrt_timeout, rrt_seed, modes)
     rows = []
-    all_results = {}
-    all_times = {}
-    for mode in modes:
-        results, times = _run_mode(mode, smap, coarse, coarse_field, start, goals,
-                                   params, rrt_timeout, rrt_seed)
-        found = [r for r in results if r is not None]
-        evals = [evaluate_path(r.waypoints, fine_field, params) for r in found]
+    for mode, (_, times, evals) in runs.items():
+        evals = [e for e in evals if e is not None]
         rows.append({
             "mode": mode,
             "total_time_ms": round(sum(times) * 1e3, 3),
-            "found": len(found),
+            "found": len(evals),
             "attempted": len(goals),
             "mean_cost": round(float(np.mean([e[2] for e in evals])), 4) if evals else "",
             "min_clearance": round(min(e[3] for e in evals), 4) if evals else "",
         })
-        all_results[mode] = results
-        all_times[mode] = times
-    return {"rows": rows, "results": all_results, "times": all_times,
-            "fine_field": fine_field, "coarse": coarse, "coarse_field": coarse_field}
+    return {"rows": rows, "results": {m: run[0] for m, run in runs.items()},
+            "times": {m: run[1] for m, run in runs.items()}, **fields}
 
 
 def scenario_single_goal(world: OccupancyGrid, smap, start, goal,
@@ -193,24 +199,13 @@ def scenario_single_goal(world: OccupancyGrid, smap, start, goal,
     Clearances are measured as in ``scenario_multi_goal``: against the
     world's own obstacle set, for both the grid baselines and the evaluation.
     """
-    coarse, coarse_field, fine_field = _fields(world, grid_factor)
+    runs, fields = _run_modes(world, smap, start, [goal], params, grid_factor,
+                              rrt_timeout, rrt_seed, modes)
     rows = []
-    all_results = {}
-    for mode in modes:
-        results, times = _run_mode(mode, smap, coarse, coarse_field, start, [goal],
-                                   params, rrt_timeout, rrt_seed)
-        res = results[0]
-        if res is None:
-            rows.append({"mode": mode, "time_ms": round(times[0] * 1e3, 3),
-                         "length": "", "risk": "", "cost": "", "min_clearance": ""})
-        else:
-            L, Z, J, mc = evaluate_path(res.waypoints, fine_field, params)
-            rows.append({"mode": mode, "time_ms": round(times[0] * 1e3, 3),
-                         "length": round(L, 4), "risk": round(Z, 4),
-                         "cost": round(J, 4), "min_clearance": round(mc, 4)})
-        all_results[mode] = res
-    return {"rows": rows, "results": all_results, "fine_field": fine_field,
-            "coarse": coarse, "coarse_field": coarse_field}
+    for mode, (_, times, (ev,)) in runs.items():
+        values = ("",) * 4 if ev is None else [round(v, 4) for v in ev]
+        rows.append(dict(zip(SINGLE_GOAL_FIELDS, [mode, round(times[0] * 1e3, 3), *values])))
+    return {"rows": rows, "results": {m: run[0][0] for m, run in runs.items()}, **fields}
 
 
 def scenario_compression(world: OccupancyGrid, trace: MissionTrace, build_params,

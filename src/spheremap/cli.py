@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,6 @@ from .planner import (ClearanceField, PlannerParams, astar_sphere_graph,
 from .smap_io import load_map, save_map
 from .voxelgrid import downsample, grid_obstacles, load_grid, save_grid
 from .worlds import WorldSpec, generate_world
-
-_EXTRA_KEYS = {"spacing", "passes", "grid_factor", "rrt_timeout", "goals",
-               "sensor_range"}
 
 
 def _parse_params_file(path: str) -> dict[str, str]:
@@ -65,14 +63,14 @@ def _convert(value: str, target_type):
 
 def _dataclass_overrides(cls, overrides: dict[str, str], used: set[str], **base):
     kwargs = dict(base)
-    names = {f.name: f for f in dataclasses.fields(cls)}
+    names = {f.name for f in dataclasses.fields(cls)}
+    # The modules use postponed annotations, so field.type is only a string.
+    types = typing.get_type_hints(cls)
     for key, value in overrides.items():
         if key not in names:
             continue
-        field = names[key]
-        ftype = field.type if isinstance(field.type, type) else type(field.default)
         try:
-            kwargs[key] = _convert(value, ftype)
+            kwargs[key] = _convert(value, types[key])
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
         used.add(key)
@@ -89,14 +87,16 @@ def _load_overrides(args) -> dict[str, str]:
 
 
 def _check_unknown(overrides: dict[str, str], used: set[str]) -> None:
-    unknown = set(overrides) - used - _EXTRA_KEYS
+    """Reject every key the command did not read; call it after the last read."""
+    unknown = set(overrides) - used
     if unknown:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
 
 
-def _extra(overrides: dict[str, str], key: str, default, kind=float):
+def _extra(overrides: dict[str, str], used: set[str], key: str, default, kind=float):
     """An extra key's value, or ``default`` when it is absent: a positive
-    finite number, and a whole one when ``kind`` is int."""
+    finite number, and a whole one when ``kind`` is int. Marks ``key`` used."""
+    used.add(key)
     text = overrides.get(key, default)
     try:
         value = float(text)
@@ -137,10 +137,10 @@ def _cmd_build(args) -> int:
     overrides = _load_overrides(args)
     used: set[str] = set()
     params = _dataclass_overrides(BuildParams, overrides, used)
+    spacing = _extra(overrides, used, "spacing", params.cube_side / 2.0)
+    passes = _extra(overrides, used, "passes", 1, int)
     _check_unknown(overrides, used)
     grid = load_grid(Path(args.world).read_bytes())
-    spacing = _extra(overrides, "spacing", params.cube_side / 2.0)
-    passes = _extra(overrides, "passes", 1, int)
     smap, reports = build_spheremap(grid, params, seed=args.seed,
                                     spacing=spacing, passes=passes)
     Path(args.out).write_bytes(save_map(smap))
@@ -165,6 +165,8 @@ def _cmd_plan(args) -> int:
         base = dataclasses.asdict(smap.plan_params)
     used: set[str] = set()
     params = _dataclass_overrides(PlannerParams, overrides, used, **base)
+    factor = _extra(overrides, used, "grid_factor", 1, int)
+    rrt_timeout = _extra(overrides, used, "rrt_timeout", 10.0)
     _check_unknown(overrides, used)
     grid = load_grid(Path(args.world).read_bytes())
     start, goal = _point(args.src), _point(args.dst)
@@ -173,14 +175,13 @@ def _cmd_plan(args) -> int:
     elif mode == "full-graph":
         result = astar_sphere_graph(smap, start, goal, params)
     else:
-        factor = _extra(overrides, "grid_factor", 1, int)
         planning_grid = downsample(grid, factor) if factor > 1 else grid
         # Measured against the world's obstacles, so that a path planned on a
         # downsampled grid keeps r_min in the world too.
         field = ClearanceField(planning_grid, obstacles=grid_obstacles(grid))
         if mode == "rrt-star":
             result = rrt_star(planning_grid, start, goal, params,
-                              timeout=_extra(overrides, "rrt_timeout", 10.0),
+                              timeout=rrt_timeout,
                               seed=args.seed, field=field)
         else:
             result = grid_astar(planning_grid, start, goal, params,
@@ -220,12 +221,12 @@ def _cmd_bench(args) -> int:
         spec = _dataclass_overrides(WorldSpec, overrides, used, kind="corridor-maze",
                                     extent=(60.0, 60.0, 4.8), seed=args.seed)
         world = generate_world(spec)
+    spacing = _extra(overrides, used, "spacing", build_params.cube_side / 2.0)
+    grid_factor = _extra(overrides, used, "grid_factor", 2, int)
+    rrt_timeout = _extra(overrides, used, "rrt_timeout", 10.0)
+    n_goals = _extra(overrides, used, "goals", 5, int)
+    sensor_range = _extra(overrides, used, "sensor_range", 20.0)
     _check_unknown(overrides, used)
-
-    spacing = _extra(overrides, "spacing", build_params.cube_side / 2.0)
-    grid_factor = _extra(overrides, "grid_factor", 2, int)
-    rrt_timeout = _extra(overrides, "rrt_timeout", 10.0)
-    n_goals = _extra(overrides, "goals", 5, int)
 
     suites = [args.suite] if args.suite != "all" else ["multi-goal", "single-goal",
                                                        "compression"]
@@ -247,7 +248,7 @@ def _cmd_bench(args) -> int:
             bench_mod.write_csv(out_dir / "single_goal.csv",
                                 bench_mod.SINGLE_GOAL_FIELDS, res["rows"])
         elif suite == "compression":
-            trace = _compression_trace(world, overrides)
+            trace = _compression_trace(world, sensor_range)
             res = bench_mod.scenario_compression(world, trace, build_params,
                                                  seed=args.seed)
             bench_mod.write_csv(out_dir / "compression.csv",
@@ -256,13 +257,12 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _compression_trace(world, overrides) -> MissionTrace:
+def _compression_trace(world, sensor_range: float) -> MissionTrace:
     lo, hi = world.world_min(), world.world_max()
     mid = 0.5 * (lo + hi)
     xs = np.linspace(lo[0] + 0.15 * (hi[0] - lo[0]), hi[0] - 0.15 * (hi[0] - lo[0]), 8)
     waypoints = np.column_stack([xs, np.full(8, mid[1]), np.full(8, mid[2])])
-    return MissionTrace(waypoints, sensor_range=_extra(overrides, "sensor_range", 20.0),
-                        az_step_deg=2.0, el_step_deg=2.0)
+    return MissionTrace(waypoints, sensor_range=sensor_range, az_step_deg=2.0, el_step_deg=2.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,11 @@
 
 The dense layer is an undirected graph of free-space spheres (center, radius =
 nearest-obstacle distance); two spheres are connected when their intersection
-circle radius exceeds ``r_min``. The sparse layer partitions the nodes into
-roughly convex segments joined by portals, with optimal portal-to-portal paths
-cached per segment.
+circle radius exceeds ``r_min``. A node is an id: its center and radius live
+only in its ``NodeIndex`` row (``node_index.row`` / ``rows``), its links in
+``adj`` and its segment label in ``segment_of``. The sparse layer partitions
+the nodes into roughly convex segments joined by portals, with optimal
+portal-to-portal paths cached per segment.
 
 One ``update_iteration`` mutates only the cube around the vehicle, in three
 steps: radius recomputation + pruning, expansion by sampling, then
@@ -78,14 +80,6 @@ class BuildParams:
 
 
 @dataclass
-class SphereNode:
-    id: int
-    p: np.ndarray
-    r: float
-    segment: int | None = None
-
-
-@dataclass
 class Segment:
     """Connected, roughly convex cluster of nodes with cached portal paths."""
 
@@ -133,9 +127,9 @@ class SphereMap:
     def __init__(self, params: BuildParams | None = None, seed: int = 0):
         self.params = params if params is not None else BuildParams()
         self.plan_params = self.params.planner_params()
-        self.nodes: dict[int, SphereNode] = {}
         self.adj: dict[int, set[int]] = {}
         self.node_index = NodeIndex()
+        self.segment_of: dict[int, int | None] = {}
         self.segments: dict[int, Segment] = {}
         self.portals: dict[tuple[int, int], Portal] = {}
         self.frontiers = np.empty((0, 3))
@@ -151,7 +145,7 @@ class SphereMap:
     # ------------------------------------------------------------------
 
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.node_index)
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj.values()) // 2
@@ -171,14 +165,14 @@ class SphereMap:
         # round-trip the structure exactly.
         p = np.asarray(np.asarray(p, dtype=np.float32), dtype=float)
         r = float(np.float32(r))
-        self.nodes[nid] = SphereNode(nid, p, r)
+        self.segment_of[nid] = None
         self.adj[nid] = set()
         self.node_index.insert(nid, p, aux=r)
         self.mutation_token += 1
         return nid
 
     def _mark_altered(self, nid: int, geometry_changed: bool = False) -> None:
-        label = self.nodes[nid].segment
+        label = self.segment_of[nid]
         if label is not None:
             seg = self.segments[label]
             seg.altered = True
@@ -186,22 +180,21 @@ class SphereMap:
                 seg.box_dirty = True
 
     def _remove_node(self, nid: int) -> None:
-        node = self.nodes.pop(nid)
+        label = self.segment_of.pop(nid)
         for nb in self.adj.pop(nid):
             self.adj[nb].discard(nid)
             self._mark_altered(nb)
         self.node_index.remove(nid)
-        if node.segment is not None:
-            seg = self.segments[node.segment]
+        if label is not None:
+            seg = self.segments[label]
             seg.members.discard(nid)
             seg.altered = True
             seg.box_dirty = True
             if not seg.members:
-                self._drop_segment(node.segment)
+                self._drop_segment(label)
         self.mutation_token += 1
 
     def _set_radius(self, nid: int, r: float) -> None:
-        self.nodes[nid].r = r
         self.node_index.set_aux(nid, r)
         self._mark_altered(nid, geometry_changed=True)
         self.mutation_token += 1
@@ -209,9 +202,9 @@ class SphereMap:
     def _recompute_edges(self, nid: int):
         """Re-derive this node's adjacency from the intersection rule; return
         the neighbours' ids, positions and radii."""
-        node = self.nodes[nid]
-        ids, pos, aux, d = self.node_index.query(node.p, node.r + self.node_index.max_aux())
-        keep = (geometry.intersection_radii(d, node.r, aux) > self.params.r_min) & (ids != nid)
+        p, r = self.node_index.row(nid)
+        ids, pos, aux, d = self.node_index.query(p, r + self.node_index.max_aux())
+        keep = (geometry.intersection_radii(d, r, aux) > self.params.r_min) & (ids != nid)
         ids, pos, aux = ids[keep], pos[keep], aux[keep]
         new_nbrs = {int(i) for i in ids}
         old = self.adj[nid]
@@ -243,8 +236,8 @@ class SphereMap:
 
     def is_redundant(self, nid: int) -> bool:
         """True iff a strictly larger live node covers this one."""
-        node = self.nodes[nid]
-        coverer, _ = self._find_coverers(node.p[None, :], np.array([node.r]), strict=True)
+        p, r = self.node_index.row(nid)
+        coverer, _ = self._find_coverers(p[None, :], np.array([r]), strict=True)
         return bool(coverer[0] >= 0)
 
     def nodes_in_cube(self, cube: UpdateCube) -> list[int]:
@@ -270,16 +263,16 @@ class SphereMap:
         ids = sorted(self.nodes_in_cube(cube))
         if not ids:
             return stats
-        pos = np.array([self.nodes[i].p for i in ids])
+        pos, radii = self.node_index.rows(ids)
         dists = np.minimum(index.nearest_distances(pos), self.params.r_cap)
         dists[grid.states_at(pos) == OCCUPIED] = 0.0
         changed = []
-        for nid, dist in zip(ids, dists):
+        for nid, dist, r_old in zip(ids, dists, radii.tolist()):
             r_new = float(np.float32(dist))
             if r_new < self.params.r_min:
                 self._remove_node(nid)
                 stats["removed_unsafe"] += 1
-            elif r_new != self.nodes[nid].r:
+            elif r_new != r_old:
                 self._set_radius(nid, r_new)
                 changed.append(nid)
         for nid in changed:
@@ -299,7 +292,7 @@ class SphereMap:
         """
         out = np.full(len(pts), -1, dtype=np.int64)
         out_d = np.full(len(pts), np.inf)
-        if not len(pts) or not self.nodes:
+        if not len(pts) or not len(self.node_index):
             return out, out_d
         bound = self.node_index.max_aux()
         # Chunks of the candidate scan are spatially coherent, so each chunk
@@ -328,16 +321,16 @@ class SphereMap:
         redundant, and a node whose witness is still alive still is; only a
         node whose witness was removed is tested again.
         """
-        ids = sorted((i for i in ids if i in self.nodes),
-                     key=lambda i: (self.nodes[i].r, i))
-        pts = np.array([self.nodes[i].p for i in ids])
-        radii = np.array([self.nodes[i].r for i in ids])
+        ids = sorted(i for i in ids if i in self.node_index)
+        pts, radii = self.node_index.rows(ids)
+        order = np.argsort(radii, kind="stable")
+        pts, radii = pts[order], radii[order]
         witness, _ = self._find_coverers(pts, radii, strict=True)
         removed = 0
-        for nid, wit in zip(ids, witness):
-            if wit < 0 or nid not in self.nodes:
+        for nid, wit in zip([ids[k] for k in order.tolist()], witness):
+            if wit < 0 or nid not in self.node_index:
                 continue
-            if int(wit) in self.nodes or self.is_redundant(nid):
+            if int(wit) in self.node_index or self.is_redundant(nid):
                 self._remove_node(nid)
                 removed += 1
         return removed
@@ -383,7 +376,8 @@ class SphereMap:
         (:meth:`_covering`, not strict).
 
         One ``_find_coverers`` sweep gives each candidate a witness, and each
-        added sphere becomes the witness of the later candidates it covers.
+        added sphere becomes the witness of the later candidates it covers
+        (only those it overlaps can be covered, so only they are tested).
         The loop only adds and removes nodes, so only a candidate whose
         witness has died needs a query. A sweep witness at distance 0.0 is a
         twin (a node on the candidate's position, no smaller): it rules the
@@ -402,14 +396,16 @@ class SphereMap:
         added_ids = []
         for i, p in enumerate(cands):
             wit, r = int(witness[i]), radii[i:i + 1]
-            if witness_d[i] == 0.0 or wit in self.nodes:
+            if witness_d[i] == 0.0 or wit in self.node_index:
                 continue
             if wit >= 0 and self._find_coverers(p[None, :], r, strict=False)[0][0] >= 0:
                 continue
             nid = self._add_node(p, r[0])
             added_ids.append(nid)
-            later, _ = self._covering(cands[i + 1:], radii[i + 1:], p[None, :], r, strict=False)
-            witness[i + 1:][later[:, 0]] = nid
+            delta = cands[i + 1:] - p
+            near = i + 1 + np.flatnonzero(np.sqrt(np.vecdot(delta, delta)) < r[0] + radii[i + 1:])
+            later, _ = self._covering(cands[near], radii[near], p[None, :], r, strict=False)
+            witness[near[later[:, 0]]] = nid
             # Only the fresh sphere can have made a surviving neighbor
             # redundant, so a pairwise coverage check suffices.
             nbrs, nbr_p, nbr_r = self._recompute_edges(nid)
@@ -423,9 +419,8 @@ class SphereMap:
         # restores cube-wide redundancy-freeness.
         suspects: set[int] = set()
         for nid in added_ids:
-            if nid in self.nodes:
-                suspects.update(self.node_index.within_radius(self.nodes[nid].p,
-                                                              self.nodes[nid].r))
+            if nid in self.node_index:
+                suspects.update(self.node_index.within_radius(*self.node_index.row(nid)))
         stats["removed_redundant"] += self._prune_redundant(suspects)
         return stats
 
@@ -448,10 +443,8 @@ class SphereMap:
 
     def _refresh_bounds(self, label: int) -> None:
         seg = self.segments[label]
-        ids = sorted(seg.members)
-        pos = np.array([self.nodes[i].p for i in ids])
-        rad = np.array([self.nodes[i].r for i in ids])
-        seg.center, seg.radius = geometry.enclosing_sphere(pos, rad)
+        seg.center, seg.radius = geometry.enclosing_sphere(
+            *self.node_index.rows(sorted(seg.members)))
 
     def _components(self, members: set[int]) -> list[set[int]]:
         out = []
@@ -487,7 +480,7 @@ class SphereMap:
                 new = self._new_label()
                 self.segments[new] = Segment(new, comp, np.zeros(3), 0.0)
                 for nid in comp:
-                    self.nodes[nid].segment = new
+                    self.segment_of[nid] = new
                 created.append(new)
             self._refresh_bounds(label)
         for label in created:
@@ -499,55 +492,52 @@ class SphereMap:
 
         The bound grows by one Ritter step per accepted node, so each test is
         O(1). A node inside the bound is accepted even when a merge or a large
-        seed has pushed the bound past r_exp.
+        seed has pushed the bound past r_exp. Nodes pop in (distance when
+        offered, id) order, whatever the order of the offers.
         """
         seg = self.segments[label]
         center = np.asarray(seg.center, dtype=float)
         radius = float(seg.radius)
         heap: list[tuple[float, int]] = []
-        queued: set[int] = set()
+        queued: dict[int, tuple[np.ndarray, float]] = {}
 
-        def offer(nid: int) -> None:
-            if nid in queued or self.nodes[nid].segment is not None:
+        def offer(nids) -> None:
+            fresh = [n for n in nids if n not in queued and self.segment_of[n] is None]
+            if not fresh:
                 return
-            queued.add(nid)
-            d = float(np.linalg.norm(self.nodes[nid].p - center))
-            heapq.heappush(heap, (d, nid))
+            pos, rad = self.node_index.rows(fresh)
+            delta = pos - center
+            for nid, d, p, r in zip(fresh, np.sqrt(np.vecdot(delta, delta)).tolist(),
+                                    pos, rad.tolist()):
+                queued[nid] = (p, r)
+                heapq.heappush(heap, (d, nid))
 
-        for mid in sorted(seg.members):
-            for nb in sorted(self.adj[mid]):
-                offer(nb)
+        offer({nb for mid in seg.members for nb in self.adj[mid]})
         while heap:
             _, nid = heapq.heappop(heap)
-            if nid not in self.nodes or self.nodes[nid].segment is not None:
-                continue
-            node = self.nodes[nid]
-            new_center, new_radius = geometry.ritter_step(center, radius, node.p, node.r)
+            new_center, new_radius = geometry.ritter_step(center, radius, *queued[nid])
             if new_radius > max(radius, self.params.r_exp):
                 continue
             center, radius = new_center, new_radius
             seg.members.add(nid)
-            node.segment = label
+            self.segment_of[nid] = label
             seg.altered = True
             seg.box_dirty = True
-            for nb in sorted(self.adj[nid]):
-                offer(nb)
+            offer(self.adj[nid])
         seg.center, seg.radius = center, radius
 
     def _adjacent_labels(self, label: int) -> set[int]:
         out = set()
         for nid in self.segments[label].members:
             for nb in self.adj[nid]:
-                other = self.nodes[nb].segment
+                other = self.segment_of[nb]
                 if other is not None and other != label:
                     out.add(other)
         return out
 
     def _can_merge(self, a: int, b: int, grid: OccupancyGrid):
         ids = sorted(self.segments[a].members) + sorted(self.segments[b].members)
-        pos = np.array([self.nodes[i].p for i in ids])
-        rad = np.array([self.nodes[i].r for i in ids])
-        center, radius = geometry.enclosing_sphere(pos, rad)
+        center, radius = geometry.enclosing_sphere(*self.node_index.rows(ids))
         if radius > self.params.r_merge:
             return None
         if not raycast_free(grid, self.segments[a].center, self.segments[b].center):
@@ -557,7 +547,7 @@ class SphereMap:
     def _merge(self, target: int, source: int, bounds) -> None:
         seg_t, seg_s = self.segments[target], self.segments[source]
         for nid in seg_s.members:
-            self.nodes[nid].segment = target
+            self.segment_of[nid] = target
         seg_t.members |= seg_s.members
         seg_t.center, seg_t.radius = bounds
         seg_t.altered = True
@@ -567,20 +557,17 @@ class SphereMap:
     def _recompute_portals(self, label: int, cache_dirty: set[int]) -> None:
         """Widest edge to each adjacent segment. Ties go to the lowest
         (a, b), ``a`` in the lower label, so both sides pick the same edge."""
-        seg = self.segments[label]
+        edges = [(a, b, self.segment_of[b]) for a in sorted(self.segments[label].members)
+                 for b in sorted(self.adj[a]) if self.segment_of[b] not in (None, label)]
+        pa, ra = self.node_index.rows([a for a, _, _ in edges])
+        pb, rb = self.node_index.rows([b for _, b, _ in edges])
         best: dict[int, tuple[float, int, int]] = {}
-        for nid in sorted(seg.members):
-            node = self.nodes[nid]
-            for nb in sorted(self.adj[nid]):
-                other = self.nodes[nb].segment
-                if other is None or other == label:
-                    continue
-                onode = self.nodes[nb]
-                ir = geometry.intersection_radius(node.p, node.r, onode.p, onode.r)
-                a, b = (nid, nb) if label < other else (nb, nid)
-                cur = best.get(other)
-                if cur is None or ir > cur[0] or (ir == cur[0] and (a, b) < cur[1:]):
-                    best[other] = (ir, a, b)
+        for (nid, nb, other), p1, r1, p2, r2 in zip(edges, pa, ra.tolist(), pb, rb.tolist()):
+            ir = geometry.intersection_radius(p1, r1, p2, r2)
+            a, b = (nid, nb) if label < other else (nb, nid)
+            cur = best.get(other)
+            if cur is None or ir > cur[0] or (ir == cur[0] and (a, b) < cur[1:]):
+                best[other] = (ir, a, b)
         stale = [pair for pair in self.portals if label in pair]
         for pair in stale:
             other = pair[0] if pair[1] == label else pair[1]
@@ -620,7 +607,7 @@ class SphereMap:
         stats = {"split": 0, "created": 0, "merged": 0, "caches_rebuilt": 0}
         # Split and growth neither add nor remove nodes: one query serves both.
         in_cube = self.nodes_in_cube(cube)
-        cube_labels = {self.nodes[i].segment for i in in_cube}
+        cube_labels = {self.segment_of[i] for i in in_cube}
         cube_labels.discard(None)
         near = set(cube_labels) | {l for l, s in self.segments.items() if s.altered}
 
@@ -632,14 +619,15 @@ class SphereMap:
         for label in sorted(near):
             if label in self.segments:
                 self._grow_segment(label)
-        unassigned = [i for i in in_cube if self.nodes[i].segment is None]
-        for nid in sorted(unassigned, key=lambda i: (-self.nodes[i].r, i)):
-            if self.nodes[nid].segment is not None:
+        unassigned = sorted(i for i in in_cube if self.segment_of[i] is None)
+        _, radii = self.node_index.rows(unassigned)
+        for k in np.argsort(-radii, kind="stable").tolist():
+            nid = unassigned[k]
+            if self.segment_of[nid] is not None:
                 continue
             label = self._new_label()
-            node = self.nodes[nid]
-            self.segments[label] = Segment(label, {nid}, node.p.copy(), node.r)
-            node.segment = label
+            self.segments[label] = Segment(label, {nid}, *self.node_index.row(nid))
+            self.segment_of[nid] = label
             self._grow_segment(label)
             near.add(label)
             stats["created"] += 1

@@ -153,10 +153,7 @@ def extract(smap) -> LtvMap:
     for label in sorted(smap.segments):
         seg = smap.segments[label]
         if seg.box_dirty or seg.cached_box is None:
-            ids = sorted(seg.members)
-            pos = np.array([smap.nodes[i].p for i in ids])
-            rad = np.array([smap.nodes[i].r for i in ids])
-            seg.cached_box = fit_box(pos, rad)
+            seg.cached_box = fit_box(*smap.node_index.rows(sorted(seg.members)))
             seg.box_dirty = False
         center, yaw, half = seg.cached_box
         if len(smap.frontiers):

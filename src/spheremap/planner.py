@@ -134,7 +134,7 @@ def _attach(smap, p, segmented_only=False):
     margin = radii - np.sqrt(np.vecdot(delta, delta))
     ok = margin >= 0.0
     if segmented_only:
-        ok[ok] = [smap.nodes[i].segment is not None for i in ids[ok].tolist()]
+        ok[ok] = [smap.segment_of[i] is not None for i in ids[ok].tolist()]
     if not ok.any():
         return None, -math.inf
     k = int(np.argmax(np.where(ok, margin, -np.inf)))
@@ -146,6 +146,13 @@ def _step_cost(p1, r1, p2, r2, params: PlannerParams) -> float:
     return float(dl + dz)
 
 
+def _pair_costs(smap, pairs, params: PlannerParams) -> list[float]:
+    """Step cost between the centers of each node pair: one kernel call."""
+    rows = smap.node_index.rows
+    dl, dz = transition_cost(*rows([a for a, _ in pairs]), *rows([b for _, b in pairs]), params)
+    return (dl + dz).tolist()
+
+
 def _graph_costs(smap, params: PlannerParams) -> dict[int, list[tuple[int, float]]]:
     """Per-node neighbor/cost lists; cached on the map until it mutates."""
     key = (smap.mutation_token, params.xi, params.d_max, params.r_min)
@@ -153,17 +160,10 @@ def _graph_costs(smap, params: PlannerParams) -> dict[int, list[tuple[int, float
     if cached is not None and cached[0] == key:
         return cached[1]
     edges = list(smap.edges())
-    adj: dict[int, list[tuple[int, float]]] = {nid: [] for nid in smap.nodes}
-    if edges:
-        na = [smap.nodes[a] for a, _ in edges]
-        nb = [smap.nodes[b] for _, b in edges]
-        dl, dz = transition_cost(np.array([n.p for n in na]), np.array([n.r for n in na]),
-                                 np.array([n.p for n in nb]), np.array([n.r for n in nb]),
-                                 params)
-        w = dl + dz
-        for (a, b), wf in zip(edges, w.tolist()):
-            adj[a].append((b, wf))
-            adj[b].append((a, wf))
+    adj: dict[int, list[tuple[int, float]]] = {nid: [] for nid in smap.adj}
+    for (a, b), w in zip(edges, _pair_costs(smap, edges, params)):
+        adj[a].append((b, w))
+        adj[b].append((a, w))
     smap._plan_ctx = (key, adj)
     return adj
 
@@ -215,9 +215,12 @@ def _unwind(came, target) -> list:
     return path
 
 
-def _distance_to(nodes, p):
-    """A* heuristic: straight-line distance from a node's center to p."""
-    return lambda v: float(np.linalg.norm(nodes[v].p - p))
+def _distance_to(smap, p, members=None):
+    """A* heuristic over every node (or ``members``): straight-line distance
+    from its center to p, one ``sqrt(vecdot)`` over the rows per search."""
+    ids = smap.adj if members is None else members
+    delta = smap.node_index.rows(ids)[0] - p
+    return dict(zip(ids, np.sqrt(np.vecdot(delta, delta)).tolist())).__getitem__
 
 
 def astar_nodes(smap, start_id: int, goal_id: int, params: PlannerParams,
@@ -225,7 +228,7 @@ def astar_nodes(smap, start_id: int, goal_id: int, params: PlannerParams,
     """Optimal node-id path between two sphere nodes (optionally one segment)."""
     members = None if restrict is None else smap.segments[restrict].members
     found = _best_first(_graph_costs(smap, params), {start_id: 0.0}, goal_id,
-                        _distance_to(smap.nodes, smap.nodes[goal_id].p), members)
+                        _distance_to(smap, smap.node_index.row(goal_id)[0], members), members)
     if found is None:
         return None
     return _unwind(found[1], goal_id), found[0][goal_id]
@@ -233,10 +236,9 @@ def astar_nodes(smap, start_id: int, goal_id: int, params: PlannerParams,
 
 def _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
                           mode, t0, params):
-    nodes = smap.nodes
-    waypoints = np.vstack([start] + [nodes[i].p for i in node_path] + [goal])
-    clearances = np.array([s_margin] + [nodes[i].r for i in node_path] + [g_margin])
-    return _plan_result(waypoints, clearances, mode, t0, params)
+    pos, radii = smap.node_index.rows(node_path)
+    return _plan_result(np.vstack([start, pos, goal]),
+                        np.concatenate([[s_margin], radii, [g_margin]]), mode, t0, params)
 
 
 def astar_sphere_graph(smap, start, goal, params: PlannerParams) -> PlanResult | None:
@@ -250,9 +252,8 @@ def astar_sphere_graph(smap, start, goal, params: PlannerParams) -> PlanResult |
         return None
     if np.array_equal(start, goal):
         return _plan_result(start.reshape(1, 3), np.array([s_margin]), "full-graph", t0, params)
-    nodes = smap.nodes
-    source = {s_id: _step_cost(start, s_margin, nodes[s_id].p, nodes[s_id].r, params)}
-    found = _best_first(_graph_costs(smap, params), source, g_id, _distance_to(nodes, goal))
+    source = {s_id: _step_cost(start, s_margin, *smap.node_index.row(s_id), params)}
+    found = _best_first(_graph_costs(smap, params), source, g_id, _distance_to(smap, goal))
     if found is None:
         return None
     return _finish_sphere_result(smap, _unwind(found[1], g_id), start, goal,
@@ -268,11 +269,10 @@ def _meta_static(smap, params: PlannerParams):
     if cached is not None and cached[0] == key:
         return cached[1]
     meta: dict[int, list[tuple[int, float]]] = {}
-    for portal in smap.portals.values():
-        na, nb = smap.nodes[portal.a], smap.nodes[portal.b]
-        w = _step_cost(na.p, na.r, nb.p, nb.r, params)
-        meta.setdefault(portal.a, []).append((portal.b, w))
-        meta.setdefault(portal.b, []).append((portal.a, w))
+    pairs = [(portal.a, portal.b) for portal in smap.portals.values()]
+    for (a, b), w in zip(pairs, _pair_costs(smap, pairs, params)):
+        meta.setdefault(a, []).append((b, w))
+        meta.setdefault(b, []).append((a, w))
     for seg in smap.segments.values():
         for (u, v), (_, cost) in seg.path_cache.items():
             meta.setdefault(u, []).append((v, cost))
@@ -300,20 +300,19 @@ def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
         return None
     if np.array_equal(start, goal):
         return _plan_result(start.reshape(1, 3), np.array([s_margin]), "cached", t0, params)
-    nodes = smap.nodes
-    s_label, g_label = nodes[s_id].segment, nodes[g_id].segment
+    label = smap.segment_of
+    s_label, g_label = label[s_id], label[g_id]
+    (s_p, s_r), (g_p, g_r) = smap.node_index.row(s_id), smap.node_index.row(g_id)
     adj = _graph_costs(smap, params)
-    s_dist, s_came = _best_first(
-        adj, {s_id: _step_cost(start, s_margin, nodes[s_id].p, nodes[s_id].r, params)},
-        members=smap.segments[s_label].members)
-    g_dist, g_came = _best_first(
-        adj, {g_id: _step_cost(goal, g_margin, nodes[g_id].p, nodes[g_id].r, params)},
-        members=smap.segments[g_label].members)
+    s_dist, s_came = _best_first(adj, {s_id: _step_cost(start, s_margin, s_p, s_r, params)},
+                                 members=smap.segments[s_label].members)
+    g_dist, g_came = _best_first(adj, {g_id: _step_cost(goal, g_margin, g_p, g_r, params)},
+                                 members=smap.segments[g_label].members)
 
     # Direct same-segment route, kept as a candidate alongside the meta-path.
     direct = None
     if s_label == g_label and g_id in s_dist:
-        dl, dz = transition_cost(nodes[g_id].p, nodes[g_id].r, goal, g_margin, params)
+        dl, dz = transition_cost(g_p, g_r, goal, g_margin, params)
         direct = s_dist[g_id] + dl + dz
 
     meta = dict(_meta_static(smap, params))
@@ -331,10 +330,10 @@ def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
         hops = _unwind(found[1], -2)[1:-1]
         node_path = _unwind(s_came, hops[0])
         for u, v in zip(hops, hops[1:]):
-            if nodes[u].segment != nodes[v].segment:
+            if label[u] != label[v]:
                 node_path.append(v)  # portal crossing
                 continue
-            cache = smap.segments[nodes[u].segment].path_cache
+            cache = smap.segments[label[u]].path_cache
             seq = cache[(u, v)][0] if (u, v) in cache else cache[(v, u)][0][::-1]
             node_path.extend(seq[1:])
         node_path.extend(_unwind(g_came, hops[-1])[-2::-1])

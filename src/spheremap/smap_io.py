@@ -45,12 +45,13 @@ def save_map(smap: SphereMap) -> bytes:
                         smap.seed & 0xFFFFFFFFFFFFFFFF),
            _COUNTERS.pack(smap._next_node_id, smap._next_label)]
 
-    out.append(_U32.pack(len(smap.nodes)))
-    for nid in sorted(smap.nodes):
-        node = smap.nodes[nid]
-        if node.segment is None:
+    ids = sorted(smap.adj)
+    pos, radii = smap.node_index.rows(ids)
+    out.append(_U32.pack(len(ids)))
+    for nid, p, r in zip(ids, pos.tolist(), radii.tolist()):
+        if smap.segment_of[nid] is None:
             raise ValueError(f"node {nid} has no segment")
-        out.append(_NODE.pack(nid, *(float(v) for v in node.p), node.r, node.segment))
+        out.append(_NODE.pack(nid, *p, r, smap.segment_of[nid]))
 
     out.append(_U32.pack(len(smap.segments)))
     for label in sorted(smap.segments):
@@ -117,7 +118,7 @@ def load_map(data: bytes) -> SphereMap:
     # update can produce.
     r_cap = float(np.float32(params.r_cap))
     for nid, x, y, z, r, label in nodes:
-        if nid in smap.nodes:
+        if nid in smap.node_index:
             raise PayloadError(f"duplicate node id {nid}")
         if nid >= smap._next_node_id:
             raise PayloadError(f"node id {nid} is not below the id counter")
@@ -126,10 +127,10 @@ def load_map(data: bytes) -> SphereMap:
         if label not in smap.segments:
             raise PayloadError(f"node {nid} names unlisted segment {label}")
         smap._add_node((x, y, z), r, nid)
-        smap.nodes[nid].segment = label
+        smap.segment_of[nid] = label
         smap.segments[label].members.add(nid)
 
-    for nid in sorted(smap.nodes):
+    for nid in sorted(smap.adj):
         smap._recompute_edges(nid)
     for label, seg in smap.segments.items():
         if len(smap._components(seg.members)) != 1:

@@ -5,9 +5,10 @@ the one clearance source: map updates build it over the obstacle surface of
 each padded update cube (``voxelgrid.surface_points``), and the grid
 baselines (through its subclass ``planner.ClearanceField``), the clearance
 invariant check and the benchmark scenarios over a whole grid
-(``voxelgrid.grid_obstacles``). ``NodeIndex`` is a dynamic store of sphere
-centres whose radius queries are one vectorized scan over every live row:
-exact by construction, ties broken by lower id, and O(live rows) each.
+(``voxelgrid.grid_obstacles``). ``NodeIndex`` is the sphere map's one node
+store: each live node's centre and radius live only in its packed row. Its
+radius queries are one vectorized scan over every live row: exact by
+construction, ties broken by lower id, and O(live rows) each.
 """
 
 from __future__ import annotations
@@ -101,6 +102,16 @@ class NodeIndex:
             self._pos[row] = self._pos[last]
             self._aux[row] = self._aux[last]
             self._slot[moved] = row
+
+    def row(self, node_id: int) -> tuple[np.ndarray, float]:
+        """(position, aux) of one entry, copied: ``remove`` moves rows."""
+        slot = self._slot[node_id]
+        return self._pos[slot].copy(), float(self._aux[slot])
+
+    def rows(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, aux values) of the entries ``ids``, in that order."""
+        slots = np.fromiter(map(self._slot.__getitem__, ids), dtype=np.int64)
+        return self._pos[slots], self._aux[slots]
 
     def set_aux(self, node_id: int, value: float) -> None:
         self._aux[self._slot[node_id]] = value

@@ -21,6 +21,7 @@ def check_structure(smap) -> list[str]:
     """Edge rule, segment partition/connectivity, portals, caches, redundancy."""
     problems: list[str] = []
     r_min = smap.params.r_min
+    label_of = smap.segment_of
 
     for a, nbrs in smap.adj.items():
         if a in nbrs:
@@ -29,25 +30,26 @@ def check_structure(smap) -> list[str]:
             if a not in smap.adj.get(b, set()):
                 problems.append(f"asymmetric edge ({a}, {b})")
 
-    for nid, node in smap.nodes.items():
-        if node.r < r_min:
-            problems.append(f"node {nid} radius {node.r} below r_min")
+    for nid, r in zip(smap.adj, smap.node_index.rows(smap.adj)[1].tolist()):
+        if r < r_min:
+            problems.append(f"node {nid} radius {r} below r_min")
 
-    for a, b in smap.edges():
-        na, nb = smap.nodes[a], smap.nodes[b]
-        if not geometry.intersection_radius(na.p, na.r, nb.p, nb.r) > r_min:
+    edges = list(smap.edges())
+    for (a, b), pa, ra, pb, rb in _edge_rows(smap, edges):
+        if not geometry.intersection_radius(pa, ra, pb, rb) > r_min:
             problems.append(f"edge ({a}, {b}) violates the intersection rule")
 
     cube = smap.last_cube
     if cube is not None:
         ids = sorted(smap.nodes_in_cube(cube))
-        for a, b in combinations(ids, 2):
+        pos, radii = smap.node_index.rows(ids)
+        radii = radii.tolist()
+        for (i, a), (j, b) in combinations(enumerate(ids), 2):
             if b in smap.adj[a]:
                 continue
-            na, nb = smap.nodes[a], smap.nodes[b]
-            d = float(np.linalg.norm(na.p - nb.p))
-            if d < na.r + nb.r:
-                if geometry.intersection_radius(na.p, na.r, nb.p, nb.r) > r_min:
+            d = float(np.linalg.norm(pos[i] - pos[j]))
+            if d < radii[i] + radii[j]:
+                if geometry.intersection_radius(pos[i], radii[i], pos[j], radii[j]) > r_min:
                     problems.append(f"missing edge ({a}, {b}) inside update cube")
 
     assigned: set[int] = set()
@@ -56,9 +58,9 @@ def check_structure(smap) -> list[str]:
             problems.append(f"segment {label} is empty")
             continue
         for nid in seg.members:
-            if nid not in smap.nodes:
+            if nid not in smap.node_index:
                 problems.append(f"segment {label} references dead node {nid}")
-            elif smap.nodes[nid].segment != label:
+            elif label_of[nid] != label:
                 problems.append(f"node {nid} label disagrees with segment {label}")
             assigned.add(nid)
         seed = min(seg.members)
@@ -72,38 +74,37 @@ def check_structure(smap) -> list[str]:
                     stack.append(nb)
         if comp != seg.members:
             problems.append(f"segment {label} member subgraph is disconnected")
-    for nid, node in smap.nodes.items():
-        if node.segment is None:
+    for nid, label in label_of.items():
+        if label is None:
             problems.append(f"node {nid} left unassigned")
-        elif node.segment not in smap.segments:
-            problems.append(f"node {nid} labeled with dead segment {node.segment}")
+        elif label not in smap.segments:
+            problems.append(f"node {nid} labeled with dead segment {label}")
         elif nid not in assigned:
             problems.append(f"node {nid} missing from its segment member set")
 
     # Portals: one per adjacent pair, endpoints consistent, radius maximal.
     best: dict[tuple[int, int], float] = {}
-    for a, b in smap.edges():
-        sa, sb = smap.nodes[a].segment, smap.nodes[b].segment
+    for (a, b), pa, ra, pb, rb in _edge_rows(smap, edges):
+        sa, sb = label_of[a], label_of[b]
         if sa is None or sb is None or sa == sb:
             continue
         pair = (sa, sb) if sa < sb else (sb, sa)
-        na, nb = smap.nodes[a], smap.nodes[b]
-        ir = geometry.intersection_radius(na.p, na.r, nb.p, nb.r)
+        ir = geometry.intersection_radius(pa, ra, pb, rb)
         if ir > best.get(pair, -1.0):
             best[pair] = ir
     for pair, portal in smap.portals.items():
         if pair not in best:
             problems.append(f"portal {pair} has no inter-segment edge")
             continue
-        na, nb = smap.nodes.get(portal.a), smap.nodes.get(portal.b)
-        if na is None or nb is None:
+        if portal.a not in smap.node_index or portal.b not in smap.node_index:
             problems.append(f"portal {pair} references dead nodes")
             continue
-        if na.segment != pair[0] or nb.segment != pair[1]:
+        if label_of[portal.a] != pair[0] or label_of[portal.b] != pair[1]:
             problems.append(f"portal {pair} endpoints in wrong segments")
         if portal.b not in smap.adj.get(portal.a, set()):
             problems.append(f"portal {pair} endpoints are not connected")
-        ir = geometry.intersection_radius(na.p, na.r, nb.p, nb.r)
+        ir = geometry.intersection_radius(*smap.node_index.row(portal.a),
+                                          *smap.node_index.row(portal.b))
         if ir < best[pair]:
             problems.append(f"portal {pair} is not maximal ({ir} < {best[pair]})")
     for pair in best:
@@ -134,29 +135,35 @@ def check_structure(smap) -> list[str]:
 
     if cube is not None:
         ids = sorted(smap.nodes_in_cube(cube))
-        pts, radii = [smap.nodes[i].p for i in ids], [smap.nodes[i].r for i in ids]
-        coverers, _ = smap._find_coverers(np.array(pts), np.array(radii), strict=True)
+        coverers, _ = smap._find_coverers(*smap.node_index.rows(ids), strict=True)
         problems += [f"node {nid} inside update cube is redundant"
                      for nid, wit in zip(ids, coverers) if wit >= 0]
     return problems
 
 
+def _edge_rows(smap, pairs):
+    """(pair, p_a, r_a, p_b, r_b) for each node pair, from one gather per side."""
+    pa, ra = smap.node_index.rows([a for a, _ in pairs])
+    pb, rb = smap.node_index.rows([b for _, b in pairs])
+    return zip(pairs, pa, ra.tolist(), pb, rb.tolist())
+
+
 def check_clearance(smap, grid: OccupancyGrid, all_nodes: bool = False) -> list[str]:
     """Radii never exceed the true obstacle distance (full-set recomputation)."""
     if all_nodes or smap.last_cube is None:
-        ids = sorted(smap.nodes)
+        ids = sorted(smap.adj)
     else:
         ids = sorted(smap.nodes_in_cube(smap.last_cube))
     if not ids:
         return []
     index = ObstacleIndex(grid_obstacles(grid, smap.params.frontier_connectivity))
-    d = index.nearest_distances(np.array([smap.nodes[i].p for i in ids]))
+    pos, radii = smap.node_index.rows(ids)
+    d = index.nearest_distances(pos)
     eps = smap.params.eps_r
     problems = []
-    for nid, dist in zip(ids, d):
-        node = smap.nodes[nid]
-        if node.r > dist + eps:
-            problems.append(f"node {nid} radius {node.r} exceeds clearance {dist}")
+    for nid, r, dist in zip(ids, radii.tolist(), d.tolist()):
+        if r > dist + eps:
+            problems.append(f"node {nid} radius {r} exceeds clearance {dist}")
     return problems
 
 

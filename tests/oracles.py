@@ -24,9 +24,9 @@ def free_centroids(grid):
 def covered_mask(smap, centers):
     """Which of the given points lie inside at least one sphere."""
     covered = np.zeros(len(centers), dtype=bool)
-    for node in smap.nodes.values():
-        d2 = np.einsum("ij,ij->i", centers - node.p, centers - node.p)
-        covered |= d2 <= node.r * node.r
+    for p, r in zip(*smap.node_index.rows(list(smap.adj))):
+        d2 = np.einsum("ij,ij->i", centers - p, centers - p)
+        covered |= d2 <= r * r
     return covered
 
 
@@ -107,22 +107,22 @@ def random_sphere_map(seed, max_nodes=50, box=20.0):
         r = rng.uniform(1.0, 4.0)
         nid = smap._add_node(p, r)
         smap._recompute_edges(nid)
-    ids = sorted(smap.nodes)
+    ids = sorted(smap.adj)
     a, b = rng.choice(ids, 2)
-    na, nb = smap.nodes[int(a)], smap.nodes[int(b)]
-    start = na.p + rng.uniform(-0.4, 0.4, 3) * na.r
-    goal = nb.p + rng.uniform(-0.4, 0.4, 3) * nb.r
+    (pa, ra), (pb, rb) = smap.node_index.row(int(a)), smap.node_index.row(int(b))
+    start = pa + rng.uniform(-0.4, 0.4, 3) * ra
+    goal = pb + rng.uniform(-0.4, 0.4, 3) * rb
     return smap, start, goal
 
 
 def _attach_oracle(smap, p, segmented_only=False):
     best = None
     best_margin = -math.inf
-    for nid in sorted(smap.nodes):
-        node = smap.nodes[nid]
-        if segmented_only and node.segment is None:
+    for nid in sorted(smap.adj):
+        if segmented_only and smap.segment_of[nid] is None:
             continue
-        margin = node.r - float(np.linalg.norm(np.asarray(p) - node.p))
+        center, r = smap.node_index.row(nid)
+        margin = r - float(np.linalg.norm(np.asarray(p) - center))
         if margin >= 0.0 and margin > best_margin:
             best, best_margin = nid, margin
     return best, best_margin
@@ -148,8 +148,8 @@ def ucs_optimal(smap, start, goal, params):
         return None
     if np.array_equal(np.asarray(start, dtype=float), np.asarray(goal, dtype=float)):
         return 0.0, 0.0, 0.0, []
-    nodes = smap.nodes
-    dl, dz = _step(start, s_margin, nodes[s_id].p, nodes[s_id].r, params.xi, params.d_max)
+    node = smap.node_index.row
+    dl, dz = _step(start, s_margin, *node(s_id), params.xi, params.d_max)
     dist = {s_id: dl + dz}
     came = {}
     heap = [(dist[s_id], s_id)]
@@ -161,12 +161,10 @@ def ucs_optimal(smap, start, goal, params):
         done.add(u)
         if u == g_id:
             break
-        nu = nodes[u]
         for v in smap.adj[u]:
             if v in done:
                 continue
-            nv = nodes[v]
-            dl, dz = _step(nu.p, nu.r, nv.p, nv.r, params.xi, params.d_max)
+            dl, dz = _step(*node(u), *node(v), params.xi, params.d_max)
             alt = d + dl + dz
             if alt < dist.get(v, math.inf):
                 dist[v] = alt
@@ -179,8 +177,8 @@ def ucs_optimal(smap, start, goal, params):
         path.append(came[path[-1]])
     path.reverse()
     # decompose along the chosen path exactly as the planner reports it
-    pts = [np.asarray(start, dtype=float)] + [nodes[i].p for i in path] + [np.asarray(goal, dtype=float)]
-    cls = [s_margin] + [nodes[i].r for i in path] + [g_margin]
+    pts = [np.asarray(start, dtype=float)] + [node(i)[0] for i in path] + [np.asarray(goal, dtype=float)]
+    cls = [s_margin] + [node(i)[1] for i in path] + [g_margin]
     length = 0.0
     risk = 0.0
     for i in range(len(pts) - 1):
@@ -192,7 +190,7 @@ def ucs_optimal(smap, start, goal, params):
 
 def ucs_node_cost(smap, a, b, params):
     """Optimal cost between two sphere nodes by uniform-cost search, or None."""
-    nodes = smap.nodes
+    node = smap.node_index.row
     dist = {a: 0.0}
     heap = [(0.0, a)]
     done = set()
@@ -206,8 +204,7 @@ def ucs_node_cost(smap, a, b, params):
         for v in smap.adj[u]:
             if v in done:
                 continue
-            dl, dz = _step(nodes[u].p, nodes[u].r, nodes[v].p, nodes[v].r,
-                           params.xi, params.d_max)
+            dl, dz = _step(*node(u), *node(v), params.xi, params.d_max)
             alt = d + dl + dz
             if alt < dist.get(v, math.inf):
                 dist[v] = alt

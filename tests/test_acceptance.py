@@ -305,14 +305,13 @@ def _fuzz_smap(seed: int) -> SphereMap:
     n = int(rng.integers(0, 14))
     for _ in range(n):
         smap._add_node(rng.uniform(-40, 40, 3), float(rng.uniform(0.9, 7.5)))
-    for nid in sorted(smap.nodes):
+    for nid in sorted(smap.adj):
         smap._recompute_edges(nid)
-    for nid in sorted(smap.nodes, key=lambda i: (-smap.nodes[i].r, i)):
-        node = smap.nodes[nid]
-        if node.segment is None:
+    for nid in sorted(smap.adj, key=lambda i: (-smap.node_index.row(i)[1], i)):
+        if smap.segment_of[nid] is None:
             label = smap._new_label()
-            smap.segments[label] = Segment(label, {nid}, node.p.copy(), node.r)
-            node.segment = label
+            smap.segments[label] = Segment(label, {nid}, *smap.node_index.row(nid))
+            smap.segment_of[nid] = label
             smap._grow_segment(label)
     for label in sorted(smap.segments):
         smap._recompute_portals(label, set())

@@ -29,21 +29,23 @@ class TestGoalSampling:
         grid, smap, c1, c2 = small_world
         goals = sample_goal_nodes(smap, 3, seed=1)
         assert len(goals) == 3
+        ids = list(smap.adj)
+        pos, radii = smap.node_index.rows(ids)
         labels = set()
         for g in goals:
-            owners = [n.segment for n in smap.nodes.values()
-                      if np.array_equal(n.p, g)]
+            owners = [smap.segment_of[nid] for nid, p in zip(ids, pos)
+                      if np.array_equal(p, g)]
             assert owners
             labels.add(owners[0])
-        eligible = {n.segment for n in smap.nodes.values()
-                    if n.r > smap.params.r_min + 0.5}
+        eligible = {smap.segment_of[nid] for nid, r in zip(ids, radii)
+                    if r > smap.params.r_min + 0.5}
         assert len(labels) >= min(3, len(eligible))
 
     def test_pick_start_is_widest_sphere(self, small_world):
         _, smap, _, _ = small_world
         start = pick_start(smap)
-        best = max(smap.nodes.values(), key=lambda n: (n.r, -n.id))
-        np.testing.assert_array_equal(start, best.p)
+        best = max(smap.adj, key=lambda i: (smap.node_index.row(i)[1], -i))
+        np.testing.assert_array_equal(start, smap.node_index.row(best)[0])
 
 
 class TestScenarios:

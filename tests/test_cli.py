@@ -63,6 +63,17 @@ class TestGen:
                    "--params", str(params), "--out", str(tmp_path / "w.vxg")])
         assert rc == 2
 
+    def test_kind_in_params_file(self, tmp_path):
+        # A str field without a default is parsed as a str.
+        params = tmp_path / "w.params"
+        params.write_text("kind=perforated-cave\n")
+        a, b = tmp_path / "a.vxg", tmp_path / "b.vxg"
+        assert main(["gen", "--kind", "room-grid", "--extent", "20,20,4",
+                     "--params", str(params), "--out", str(a)]) == 0
+        assert main(["gen", "--kind", "perforated-cave", "--extent", "20,20,4",
+                     "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestPlan:
     def test_identical_from_to(self, world_file, map_file):
@@ -178,6 +189,34 @@ class TestExtraKeys:
         rc = main(["bench", "--suite", "single-goal", "--world", str(world_file),
                    "--out", str(tmp_path / "b"), "--params", str(params)])
         assert rc == 2
+
+    @pytest.mark.parametrize("line", ["passes=abc", "goals=-3"])
+    def test_gen_rejects_keys_it_does_not_read(self, tmp_path, line):
+        params = tmp_path / "w.params"
+        params.write_text(line + "\n")
+        out = tmp_path / "w.vxg"
+        rc = main(["gen", "--kind", "room-grid", "--extent", "12,12,3",
+                   "--params", str(params), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_build_rejects_keys_it_does_not_read(self, world_file, tmp_path):
+        params = tmp_path / "build.params"
+        params.write_text("voxel_stride=2\ncube_side=14.0\nray_count=0\ngoals=3\n")
+        out = tmp_path / "map.smp"
+        rc = main(["build", "--world", str(world_file), "--out", str(out),
+                   "--params", str(params)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, rc", [("rrt_timeout=-1", 2), ("grid_factor=0", 2),
+                                          ("rrt_timeout=5\ngrid_factor=2", 0)])
+    def test_plan_reads_its_keys_in_every_mode(self, world_file, map_file, tmp_path, line, rc):
+        params = tmp_path / "plan.params"
+        params.write_text(line + "\n")
+        assert main(["plan", "--world", str(world_file), "--map", str(map_file),
+                     "--params", str(params), "--from", "2,2,1.5", "--to", "8,8,1.5",
+                     "--mode", "full"]) == rc
 
     def test_whole_numbers_are_accepted(self, world_file, tmp_path):
         params = tmp_path / "build.params"

@@ -21,7 +21,7 @@ def add_node(smap, p, r, segment=None):
     nid = smap._add_node(np.asarray(p, dtype=float), r)
     smap._recompute_edges(nid)
     if segment is not None:
-        smap.nodes[nid].segment = segment
+        smap.segment_of[nid] = segment
     return nid
 
 
@@ -116,11 +116,10 @@ class TestCoverageRule:
     def test_sweep_agrees_with_single_sphere_test(self, seed, kappa, strict):
         smap, rng = random_map(seed, kappa)
         # Random probes, plus every node and a shrunken copy of it on its own centre.
-        live = list(smap.nodes.values())
-        pts = np.concatenate([rng.uniform(-4.0, 4.0, (300, 3)), [n.p for n in live] * 2])
+        live_p, live_r = smap.node_index.rows(list(smap.adj))
+        pts = np.concatenate([rng.uniform(-4.0, 4.0, (300, 3)), live_p, live_p])
         pts = np.asarray(np.asarray(pts, dtype=np.float32), dtype=float)
-        radii = np.concatenate([rng.uniform(0.5, 2.5, 300), [n.r for n in live],
-                                [n.r * 0.9 for n in live]])
+        radii = np.concatenate([rng.uniform(0.5, 2.5, 300), live_r, live_r * 0.9])
         radii = np.asarray(np.asarray(radii, dtype=np.float32), dtype=float)
         ids, dists = smap._find_coverers(pts, radii, strict=strict)
         expected = [nearest_coverer(smap, p, float(r), strict) for p, r in zip(pts, radii)]
@@ -132,9 +131,9 @@ class TestCoverageRule:
     @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9])
     def test_is_redundant_agrees_with_the_oracle(self, seed, kappa):
         smap, _ = random_map(seed, kappa)
-        verdicts = {nid: smap.is_redundant(nid) for nid in smap.nodes}
-        assert verdicts == {nid: nearest_coverer(smap, n.p, n.r, True)[0] is not None
-                            for nid, n in smap.nodes.items()}
+        verdicts = {nid: smap.is_redundant(nid) for nid in smap.adj}
+        assert verdicts == {nid: nearest_coverer(smap, *smap.node_index.row(nid), True)[0]
+                            is not None for nid in smap.adj}
         assert 0 < sum(verdicts.values()) < len(verdicts)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -146,7 +145,7 @@ class TestCoverageRule:
         smap, rng = random_map(seed, kappa)
         oracle_map, _ = random_map(seed, kappa)
         cands = rng.uniform(-4.0, 4.0, (400, 3))
-        cands[::40] = [n.p for n in list(smap.nodes.values())[:10]]
+        cands[::40] = smap.node_index.rows(list(smap.adj)[:10])[0]
         cands[1::50] = cands[:400:50]
         index = ObstacleIndex(rng.uniform(-9.0, 9.0, (60, 3)))
         expected = expand_oracle(oracle_map, index, cands)
@@ -176,20 +175,21 @@ class TestCoverageRule:
     @pytest.mark.parametrize("seed", range(3))
     def test_probe_on_a_node_centre_finds_that_node(self, seed):
         smap, _ = random_map(seed)
-        for nid, node in smap.nodes.items():
-            for r in (node.r, float(np.float32(node.r * 0.5))):
-                ids, dists = smap._find_coverers(node.p[None, :], np.array([r]), strict=False)
+        for nid in smap.adj:
+            p, r_node = smap.node_index.row(nid)
+            for r in (r_node, float(np.float32(r_node * 0.5))):
+                ids, dists = smap._find_coverers(p[None, :], np.array([r]), strict=False)
                 assert (int(ids[0]), dists[0]) == (nid, 0.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_recompute_edges_returns_the_neighbours(self, seed):
         smap, _ = random_map(seed)
-        for nid in sorted(smap.nodes):
+        for nid in sorted(smap.adj):
             ids, pos, radii = smap._recompute_edges(nid)
             assert set(ids.tolist()) == smap.adj[nid]
             assert len(ids) == len(smap.adj[nid])
-            assert pos.tolist() == [smap.nodes[int(i)].p.tolist() for i in ids]
-            assert radii.tolist() == [smap.nodes[int(i)].r for i in ids]
+            assert pos.tolist() == [smap.node_index.row(int(i))[0].tolist() for i in ids]
+            assert radii.tolist() == [smap.node_index.row(int(i))[1] for i in ids]
 
 
 class TestRecomputeAndPrune:
@@ -210,9 +210,9 @@ class TestRecomputeAndPrune:
         obstacle = np.array([[0.0, 0.0, -4.0]])
         index = ObstacleIndex(obstacle)
         smap.recompute_and_prune(index, open_space(), UpdateCube((1.2, 0, 0), 12.0))
-        assert smap.nodes[a].r == pytest.approx(4.0, abs=1e-6)
+        assert smap.node_index.row(a)[1] == pytest.approx(4.0, abs=1e-6)
         expected_b = float(np.linalg.norm(np.array([2.4, 0, 0]) - obstacle[0]))
-        assert smap.nodes[b].r == pytest.approx(expected_b, abs=1e-5)
+        assert smap.node_index.row(b)[1] == pytest.approx(expected_b, abs=1e-5)
         assert b in smap.adj[a]
 
     def test_concentric_smaller_pruned_after_growth(self):
@@ -221,9 +221,9 @@ class TestRecomputeAndPrune:
         far = add_node(smap, (0, 0, 0), 1.0)      # grows past it and contains it
         index = ObstacleIndex(np.array([[6.0, 0.0, 0.0]]))
         smap.recompute_and_prune(index, open_space(), UpdateCube((0, 0, 0), 8.0))
-        assert near not in smap.nodes
-        assert far in smap.nodes
-        assert smap.nodes[far].r == pytest.approx(6.0, abs=1e-6)
+        assert near not in smap.node_index
+        assert far in smap.node_index
+        assert smap.node_index.row(far)[1] == pytest.approx(6.0, abs=1e-6)
 
     def test_node_sealed_in_rock_is_removed(self):
         # The update indexes only the obstacle surface. A node buried in a
@@ -237,7 +237,7 @@ class TestRecomputeAndPrune:
         prune = smap.recompute_and_prune
         smap.recompute_and_prune = lambda *args: stats.append(prune(*args)) or stats[-1]
         smap.update_iteration(grid, np.array([2.0, 2.0, 2.0]))
-        assert nid not in smap.nodes
+        assert nid not in smap.node_index
         assert stats[0]["removed_unsafe"] == 1
         assert check_all(smap, grid) == []
 
@@ -302,9 +302,9 @@ class TestUpdateIteration:
 
         def coverage():
             covered = np.zeros(len(centers), dtype=bool)
-            for node in smap.nodes.values():
-                d2 = np.einsum("ij,ij->i", centers - node.p, centers - node.p)
-                covered |= d2 <= node.r * node.r
+            for p, r in zip(*smap.node_index.rows(list(smap.adj))):
+                d2 = np.einsum("ij,ij->i", centers - p, centers - p)
+                covered |= d2 <= r * r
             return covered.mean()
 
         fractions = []
@@ -324,11 +324,12 @@ class TestUpdateIteration:
             return smap
 
         m1, m2 = build(), build()
-        assert sorted(m1.nodes) == sorted(m2.nodes)
-        for nid in m1.nodes:
-            assert np.array_equal(m1.nodes[nid].p, m2.nodes[nid].p)
-            assert m1.nodes[nid].r == m2.nodes[nid].r
-            assert m1.nodes[nid].segment == m2.nodes[nid].segment
+        assert sorted(m1.adj) == sorted(m2.adj)
+        for nid in m1.adj:
+            (p1, r1), (p2, r2) = m1.node_index.row(nid), m2.node_index.row(nid)
+            assert np.array_equal(p1, p2)
+            assert r1 == r2
+        assert m1.segment_of == m2.segment_of
         assert m1.adj == m2.adj
         assert sorted(m1.portals) == sorted(m2.portals)
         for pair in m1.portals:
@@ -380,7 +381,7 @@ class TestSegmentation:
         from spheremap.planner import _attach
         s1, _ = _attach(smap, c1)
         s2, _ = _attach(smap, c2)
-        assert smap.nodes[s1].segment != smap.nodes[s2].segment
+        assert smap.segment_of[s1] != smap.segment_of[s2]
 
     def test_corridor_deletion_splits_segments(self):
         grid, c1, c2, (x0, x1) = two_rooms_with_corridor()
@@ -401,7 +402,7 @@ class TestSegmentation:
         from spheremap.planner import _attach
         s1, _ = _attach(smap, c1)
         s2, _ = _attach(smap, c2)
-        lab1, lab2 = smap.nodes[s1].segment, smap.nodes[s2].segment
+        lab1, lab2 = smap.segment_of[s1], smap.segment_of[s2]
         assert lab1 != lab2
         # no portal chain connects the two rooms anymore: flood fill over
         # segment adjacency from lab1 must not reach lab2

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spheremap import BuildParams, SphereMap, astar_sphere_graph, load_map, save_map
+from spheremap import (BuildParams, Segment, SphereMap, astar_sphere_graph, load_map,
+                       save_map)
 
 from conftest import box_room
 
@@ -39,9 +40,31 @@ def test_structure_survives_the_smap_round_trip(small_map):
 def test_structure_changes_with_one_radius(small_map):
     loaded = load_map(save_map(small_map))
     before = digest.structure_digest(loaded)
-    node = loaded.nodes[min(loaded.nodes)]
-    node.r = float(np.nextafter(np.float32(node.r), np.float32(0.0)))
+    nid = min(loaded.adj)
+    r = loaded.node_index.row(nid)[1]
+    loaded._set_radius(nid, float(np.nextafter(np.float32(r), np.float32(0.0))))
     assert digest.structure_digest(loaded) != before
+
+
+def test_structure_digest_is_pinned():
+    # A chain of six spheres in three segments (two portals, one cached path)
+    # and one unlabeled sphere. The digest hashes the repr of Python floats
+    # and None; a numpy scalar or a changed label repr would change the value.
+    smap = SphereMap(BuildParams(), seed=0)
+    for p, r in [((0, 0, 0), 1.5), ((2, 0, 0), 1.5), ((4, 0, 0), 1.6), ((6, 0.1, 0), 1.5),
+                 ((8, 0, 0), 1.5), ((10, 0, 0), 1.5), ((20, 0, 0), 1.0)]:
+        smap._recompute_edges(smap._add_node(p, r))
+    for label, members in {0: {0, 1}, 1: {2, 3}, 2: {4, 5}}.items():
+        smap.segments[label] = Segment(label, set(members), np.zeros(3), 0.0)
+        for nid in members:
+            smap.segment_of[nid] = label
+        smap._refresh_bounds(label)
+    for label in range(3):
+        smap._recompute_portals(label, set())
+    for label in range(3):
+        smap._rebuild_cache(label)
+    assert len(smap.portals) == 2 and len(smap.segments[1].path_cache) == 1
+    assert digest.structure_digest(smap) == "faf70b7968b0d4dfa29ca53cf4ce9bcf4cad1aec"
 
 
 def test_plans_tell_a_missing_plan_from_a_found_one(small_map):

@@ -106,8 +106,7 @@ class TestExtract:
         by_id = {seg.id: seg for seg in ltv.segments}
         for label, seg in smap.segments.items():
             box = by_id[label]
-            pos = np.array([smap.nodes[i].p for i in sorted(seg.members)])
-            rad = np.array([smap.nodes[i].r for i in sorted(seg.members)])
+            pos, rad = smap.node_index.rows(sorted(seg.members))
             # wire values are float32; allow that quantization
             assert box_contains_spheres(box.center, box.yaw, box.half_extents,
                                         pos, rad, tol=1e-4)

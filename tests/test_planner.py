@@ -96,8 +96,8 @@ class TestAttach:
     @pytest.mark.parametrize("seed", range(5))
     def test_segmented_only_skips_unsegmented_nodes(self, seed):
         smap, start, goal = random_sphere_map(seed)
-        for nid in sorted(smap.nodes)[::2]:
-            smap.nodes[nid].segment = 0
+        for nid in sorted(smap.adj)[::2]:
+            smap.segment_of[nid] = 0
         rng = np.random.default_rng(seed)
         for p in [start, goal] + list(rng.uniform(-2.0, 22.0, (20, 3))):
             expected = _attach_oracle(smap, p, segmented_only=True)
@@ -139,13 +139,12 @@ def hand_map(chain, segments=None, portals=None):
             smap.segments[label] = Segment(label, set(members), np.zeros(3), 0.0,
                                            altered=False)
             for nid in members:
-                smap.nodes[nid].segment = label
+                smap.segment_of[nid] = label
             smap._refresh_bounds(label)
     if portals:
         for (s1, s2), (a, b) in portals.items():
-            na, nb = smap.nodes[a], smap.nodes[b]
             from spheremap.geometry import intersection_radius
-            ir = intersection_radius(na.p, na.r, nb.p, nb.r)
+            ir = intersection_radius(*smap.node_index.row(a), *smap.node_index.row(b))
             smap.portals[(s1, s2)] = Portal((s1, s2), a, b, ir)
     return smap, ids
 
@@ -163,8 +162,8 @@ class TestAstarSphereGraph:
         start, goal = np.array([0.0, 0, 0]), np.array([2.0, 0, 0])
         res = astar_sphere_graph(smap, start, goal, PARAMS)
         assert res is not None
-        np.testing.assert_allclose(res.waypoints[1], smap.nodes[ids[0]].p)
-        np.testing.assert_allclose(res.waypoints[2], smap.nodes[ids[1]].p)
+        np.testing.assert_allclose(res.waypoints[1], smap.node_index.row(ids[0])[0])
+        np.testing.assert_allclose(res.waypoints[2], smap.node_index.row(ids[1])[0])
         # forced route: cost is the chained increments
         oracle = ucs_optimal(smap, start, goal, PARAMS)
         assert res.cost == oracle[2]
@@ -230,7 +229,7 @@ class TestAstarNodes:
     @pytest.mark.parametrize("seed", range(5))
     def test_cost_matches_uniform_cost_oracle(self, seed):
         smap, _, _ = random_sphere_map(seed)
-        ids = sorted(smap.nodes)
+        ids = sorted(smap.adj)
         for a, b in [(ids[0], ids[-1]), (ids[1], ids[len(ids) // 2]), (ids[2], ids[2])]:
             found = astar_nodes(smap, a, b, PARAMS)
             oracle = ucs_node_cost(smap, a, b, PARAMS)
@@ -245,7 +244,7 @@ class TestAstarNodes:
 
 def node_ids(smap, waypoints):
     """Sphere ids of a plan's interior waypoints."""
-    by_pos = {tuple(node.p): nid for nid, node in smap.nodes.items()}
+    by_pos = {tuple(smap.node_index.row(nid)[0]): nid for nid in smap.adj}
     return [by_pos[tuple(p)] for p in waypoints[1:-1]]
 
 
@@ -266,12 +265,12 @@ class TestPlanCached:
         goal = np.array([6.0, -0.3, 0.0])
         res = plan_cached(smap, start, goal, PARAMS)
         assert res is not None
-        node_pts = [smap.nodes[i].p for i in (0, 1, 2, 3)]
+        node_pts = [smap.node_index.row(i)[0] for i in (0, 1, 2, 3)]
         expected = np.vstack([start] + node_pts + [goal])
         np.testing.assert_allclose(res.waypoints, expected)
         # cost decomposes into start->portal, crossing, portal->goal, using
         # the store's (float32-quantized) radii
-        radii = [smap.nodes[i].r for i in (0, 1, 2, 3)]
+        radii = [smap.node_index.row(i)[1] for i in (0, 1, 2, 3)]
         margins = ([radii[0] - float(np.linalg.norm(start - node_pts[0]))]
                    + radii
                    + [radii[3] - float(np.linalg.norm(goal - node_pts[3]))])

@@ -21,12 +21,12 @@ def build_small_map(seed=0):
 
 
 def assert_maps_equal(a, b):
-    assert sorted(a.nodes) == sorted(b.nodes)
-    for nid in a.nodes:
-        na, nb = a.nodes[nid], b.nodes[nid]
-        assert np.array_equal(na.p, nb.p)
-        assert na.r == nb.r
-        assert na.segment == nb.segment
+    assert sorted(a.adj) == sorted(b.adj)
+    for nid in a.adj:
+        (pa, ra), (pb, rb) = a.node_index.row(nid), b.node_index.row(nid)
+        assert np.array_equal(pa, pb)
+        assert ra == rb
+    assert a.segment_of == b.segment_of
     assert a.adj == b.adj
     assert sorted(a.segments) == sorted(b.segments)
     for label in a.segments:
@@ -110,8 +110,8 @@ def _one_node_map():
     smap = SphereMap(BuildParams(), seed=0)
     nid = smap._add_node((1.0, 2.0, 3.0), 1.5)
     label = smap._new_label()
-    smap.segments[label] = Segment(label, {nid}, smap.nodes[nid].p.copy(), 1.5)
-    smap.nodes[nid].segment = label
+    smap.segments[label] = Segment(label, {nid}, smap.node_index.row(nid)[0], 1.5)
+    smap.segment_of[nid] = label
     return save_map(smap)
 
 
@@ -213,7 +213,7 @@ class TestReferentialIntegrity:
     def test_label_of_unlisted_segment_is_rejected(self, two_room_blob):
         smap = load_map(two_room_blob)
         smap._next_label += 1000
-        smap.nodes[min(smap.nodes)].segment = smap._next_label - 1
+        smap.segment_of[min(smap.adj)] = smap._next_label - 1
         with pytest.raises(PayloadError):
             load_map(save_map(smap))
 
@@ -221,7 +221,7 @@ class TestReferentialIntegrity:
         smap = load_map(two_room_blob)
         label = min(smap.segments)
         far = smap._add_node((100.0, 100.0, 100.0), 1.0)
-        smap.nodes[far].segment = label
+        smap.segment_of[far] = label
         smap.segments[label].members.add(far)
         with pytest.raises(PayloadError):
             load_map(save_map(smap))

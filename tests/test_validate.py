@@ -10,8 +10,8 @@ class TestCheckClearance:
         smap = SphereMap(BuildParams(cube_side=30.0, voxel_stride=2, ray_count=0))
         smap.update_iteration(small_room, np.array([4.0, 4.0, 1.5]))
         assert check_clearance(smap, small_room, all_nodes=True) == []
-        nid = min(smap.nodes)
-        smap.nodes[nid].r += 0.1
+        nid = min(smap.adj)
+        smap._set_radius(nid, smap.node_index.row(nid)[1] + 0.1)
         problems = check_clearance(smap, small_room, all_nodes=True)
         assert len(problems) == 1 and problems[0].startswith(f"node {nid} radius")
 

@@ -32,9 +32,9 @@ import numpy as np
 
 def structure_digest(smap) -> str:
     h = hashlib.sha1()
-    for nid in sorted(smap.nodes):
-        node = smap.nodes[nid]
-        h.update(repr((nid, node.p.tolist(), node.r, node.segment,
+    for nid in sorted(smap.adj):
+        p, r = smap.node_index.row(nid)
+        h.update(repr((nid, p.tolist(), r, smap.segment_of[nid],
                        sorted(smap.adj[nid]))).encode())
     for label in sorted(smap.segments):
         seg = smap.segments[label]
