@@ -120,7 +120,8 @@ def sample_goal_nodes(smap, n: int, seed: int = 0, margin: float = 0.5) -> list[
 def _run_mode(mode, smap, coarse, coarse_field, start, goals, params,
               rrt_timeout, rrt_seed):
     if mode in ("full-graph", "cached"):
-        _graph_costs(smap, params)  # warm the cost table outside the timed region
+        # Warm the cost table outside the timed region; cached search uses the map's weights.
+        _graph_costs(smap, params if mode == "full-graph" else smap.plan_params)
     results = []
     times = []
     for gi, goal in enumerate(goals):

@@ -5,8 +5,9 @@ nearest-obstacle distance); two spheres are connected when their intersection
 circle radius exceeds ``r_min``. A node is an id: its center and radius live
 only in its ``NodeIndex`` row (``node_index.row`` / ``rows``), its links in
 ``adj`` and its segment label in ``segment_of``. The sparse layer partitions
-the nodes into roughly convex segments joined by portals, with optimal
-portal-to-portal paths cached per segment.
+the nodes into roughly convex segments joined by portals; each segment
+caches a Dijkstra table per portal endpoint and the portal-to-portal paths
+read off them.
 
 One ``update_iteration`` mutates only the cube around the vehicle, in three
 steps: radius recomputation + pruning, expansion by sampling, then
@@ -36,7 +37,8 @@ class BuildParams:
     ``r_cap`` bounds sphere radii and doubles as the margin by which the
     obstacle-extraction cube is padded, so a radius computed from the local
     obstacle set is either exact or capped, never optimistic. ``xi`` and
-    ``d_max`` are the risk weights baked into cached portal paths.
+    ``d_max`` weigh the segments' portal tables and paths, and so every
+    ``plan_cached`` search; a query's own weights only price its result.
     """
 
     r_min: float = 0.8
@@ -81,13 +83,17 @@ class BuildParams:
 
 @dataclass
 class Segment:
-    """Connected, roughly convex cluster of nodes with cached portal paths."""
+    """Connected, roughly convex cluster of nodes with cached portal paths:
+    ``portal_tables[e] = (g, came)``, the Dijkstra from portal endpoint ``e``
+    over the members, and ``path_cache[(a, b)] = (path, cost)`` for ``a < b``
+    read off ``a``'s table. Both are rebuilt with the segment's caches."""
 
     label: int
     members: set[int]
     center: np.ndarray
     radius: float
     path_cache: dict[tuple[int, int], tuple[tuple[int, ...], float]] = field(default_factory=dict)
+    portal_tables: dict[int, tuple[dict, dict]] = field(default_factory=dict)
     altered: bool = True
     box_dirty: bool = True
     cached_box: tuple | None = None
@@ -222,17 +228,30 @@ class SphereMap:
 
     def _covering(self, pts: np.ndarray, radii: np.ndarray, pos: np.ndarray, aux: np.ndarray,
                   strict: bool):
-        """The one coverage rule: ``covers[i, j]`` iff sphere j (``pos[j]``,
-        ``aux[j]``) holds >= kappa of query sphere i (``pts[i]``, ``radii[i]``)
-        and is larger (or, not ``strict``, as large); ``d`` holds the center
-        distances, bit-equal to ``NodeIndex.query``'s. Expansion is not strict,
-        so resampling a spot converges instead of stacking twins.
+        """The one coverage rule: ``d[i, j]`` is the center distance from
+        query sphere i (``pts[i]``, ``radii[i]``) to sphere j (``pos[j]``,
+        ``aux[j]``), bit-equal to ``NodeIndex.query``'s, if j holds >= kappa
+        of i and is larger (or, not ``strict``, as large), and inf if not.
+        Expansion is not strict, so resampling a spot converges instead of
+        stacking twins. A sphere covers nothing it does not overlap
+        (``d < r + R``), so a squared-reach prefilter, loose by 1e-9, leaves
+        the few pairs worth a ``sqrt`` and a lens volume.
         """
-        delta = pts[:, None, :] - pos[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
-        frac = geometry.coverage_matrix(radii, d, aux)
-        bigger = (aux[None, :] > radii[:, None]) if strict else (aux[None, :] >= radii[:, None])
-        return (frac >= self.params.kappa) & bigger, d
+        d2 = np.zeros((len(pts), len(pos)))
+        for k in (0, 2, 1):  # NodeIndex.query's (dx² + dz²) + dy², bit-equal to einsum
+            delta = pts[:, None, k] - pos[None, :, k]
+            d2 += delta * delta
+        reach = radii[:, None] + aux[None, :]
+        near = d2 <= reach * reach * (1.0 + 1e-9)
+        near &= (aux[None, :] > radii[:, None]) if strict else (aux[None, :] >= radii[:, None])
+        i, j = np.nonzero(near)
+        d = np.sqrt(d2[i, j])
+        ok = d < reach[i, j]
+        i, j, d = i[ok], j[ok], d[ok]
+        ok = geometry.coverage_matrix(radii, d, aux, pairs=(i, j)) >= self.params.kappa
+        out = np.full(d2.shape, np.inf)
+        out[i[ok], j[ok]] = d[ok]
+        return out
 
     def is_redundant(self, nid: int) -> bool:
         """True iff a strictly larger live node covers this one."""
@@ -305,8 +324,7 @@ class SphereMap:
             ids, pos, aux, _ = self.node_index.query(center, reach)
             if not len(ids):
                 continue
-            covers, d = self._covering(pts[s:e], radii[s:e], pos, aux, strict)
-            d[~covers] = np.inf
+            d = self._covering(pts[s:e], radii[s:e], pos, aux, strict)
             near = d.argmin(axis=1)
             out_d[s:e] = d[np.arange(e - s), near]
             hit = out_d[s:e] < np.inf
@@ -404,13 +422,13 @@ class SphereMap:
             added_ids.append(nid)
             delta = cands[i + 1:] - p
             near = i + 1 + np.flatnonzero(np.sqrt(np.vecdot(delta, delta)) < r[0] + radii[i + 1:])
-            later, _ = self._covering(cands[near], radii[near], p[None, :], r, strict=False)
-            witness[near[later[:, 0]]] = nid
+            later = self._covering(cands[near], radii[near], p[None, :], r, strict=False)
+            witness[near[later[:, 0] < np.inf]] = nid
             # Only the fresh sphere can have made a surviving neighbor
             # redundant, so a pairwise coverage check suffices.
             nbrs, nbr_p, nbr_r = self._recompute_edges(nid)
-            covered, _ = self._covering(nbr_p, nbr_r, p[None, :], r, strict=True)
-            for nb in sorted(int(j) for j in nbrs[covered[:, 0]]):
+            covered = self._covering(nbr_p, nbr_r, p[None, :], r, strict=True)[:, 0] < np.inf
+            for nb in sorted(int(j) for j in nbrs[covered]):
                 self._remove_node(nb)
                 stats["removed_redundant"] += 1
             stats["added"] += 1
@@ -593,14 +611,22 @@ class SphereMap:
                 out.add(portal.b)
         return sorted(out)
 
+    def _portal_tables(self, label: int):
+        """({portal node: (g, came)}, path cache) of one segment: one
+        ``_best_first`` Dijkstra from each portal endpoint over the members,
+        under ``plan_params``, and the portal-pair paths read off the tables.
+        The one kernel behind ``_rebuild_cache`` and ``check_structure``."""
+        members = self.segments[label].members
+        ends = self.segment_portal_nodes(label)
+        adj = planner._graph_costs(self, self.plan_params) if ends else {}
+        tables = {e: planner._best_first(adj, {e: 0.0}, members=members) for e in ends}
+        cache = {(a, b): (tuple(planner._unwind(tables[a][1], b)), tables[a][0][b])
+                 for i, a in enumerate(ends) for b in ends[i + 1:]}
+        return tables, cache
+
     def _rebuild_cache(self, label: int) -> None:
         seg = self.segments[label]
-        seg.path_cache = {}
-        endpoints = self.segment_portal_nodes(label)
-        for i, a in enumerate(endpoints):
-            for b in endpoints[i + 1:]:
-                path, cost = planner.astar_nodes(self, a, b, self.plan_params, restrict=label)
-                seg.path_cache[(a, b)] = (tuple(path), cost)
+        seg.portal_tables, seg.path_cache = self._portal_tables(label)
         seg.altered = False
 
     def segment_update(self, grid: OccupancyGrid, cube: UpdateCube) -> dict:

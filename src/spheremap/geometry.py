@@ -71,11 +71,16 @@ def covered_fractions(r: float, d: np.ndarray, r_other: np.ndarray) -> np.ndarra
     return _coverage(r, d, r_other)
 
 
-def coverage_matrix(r_small: np.ndarray, d: np.ndarray, r_big: np.ndarray) -> np.ndarray:
+def coverage_matrix(r_small: np.ndarray, d: np.ndarray, r_big: np.ndarray,
+                    pairs=None) -> np.ndarray:
     """fractions[i, j]: coverage of sphere i (radius r_small[i]) by sphere j,
-    given the center-distance matrix d of shape (len(r_small), len(r_big))."""
-    return _coverage(np.asarray(r_small, dtype=float)[:, None], d,
-                     np.asarray(r_big, dtype=float)[None, :])
+    given the center-distance matrix d of shape (len(r_small), len(r_big)).
+    With ``pairs = (i, j)`` index arrays, only those entries: ``d`` holds
+    their distances and the result their fractions, bit-equal to the matrix's."""
+    r_small, r_big = np.asarray(r_small, dtype=float), np.asarray(r_big, dtype=float)
+    if pairs is not None:
+        return _coverage(r_small[pairs[0]], d, r_big[pairs[1]])
+    return _coverage(r_small[:, None], d, r_big[None, :])
 
 
 def ritter_step(center: np.ndarray, radius: float, p: np.ndarray, r: float):

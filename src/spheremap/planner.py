@@ -13,12 +13,12 @@ this cost model, the Euclidean-distance heuristic, and the clearance floor
 ``r_min``.
 
 Every sphere-graph search runs on one best-first kernel, ``_best_first``,
-over adjacency lists of (neighbour, weight): A* over the whole graph, A*
-inside one segment for the path caches, Dijkstra from a query endpoint
-through its segment, and Dijkstra over the portal meta-graph, the portal
-abstraction of HPA* (Botea, Mueller & Schaeffer 2004). Sphere-graph weights
-come from ``_graph_costs``; meta-graph weights are portal crossings and
-cached portal-to-portal path costs.
+over adjacency lists of (neighbour, weight): A* over the whole graph or
+inside one segment, Dijkstra from each portal endpoint through its segment
+(the node-to-portal tables of ``core.Segment``), and Dijkstra over the
+portal meta-graph, the portal abstraction of HPA* (Botea, Mueller &
+Schaeffer 2004). Sphere-graph weights come from ``_graph_costs``; meta-graph
+weights are portal crossings and table and cached-path costs.
 
 All planners are pure functions over read-only inputs; run them between map
 updates.
@@ -284,12 +284,13 @@ def _meta_static(smap, params: PlannerParams):
 def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
     """Long-distance planning through portals and cached intra-segment paths.
 
-    Searches a small meta-graph over the two endpoints (ids -1 and -2) and
-    all portal endpoints; segment interiors are crossed via the precomputed
-    portal-pair paths, so only the two endpoint attachments need fresh graph
-    search. The query adds a row from the start to its segment's portals
-    and an edge from each of the goal segment's portals to the goal. A
-    same-segment query also considers the direct in-segment route.
+    Searches a meta-graph over the two endpoints (ids -1 and -2) and all
+    portal endpoints. Segment interiors are crossed on the cached
+    portal-pair paths and each endpoint reaches its segment's portals along
+    the segment's node-to-portal tables, so only a same-segment query
+    searches the sphere graph: one A* for the direct in-segment route.
+    The search runs under the map's ``plan_params``, the weights its caches
+    hold; ``params`` only prices the reported length and risk.
     """
     t0 = time.perf_counter()
     start = np.asarray(start, dtype=float)
@@ -300,35 +301,34 @@ def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
         return None
     if np.array_equal(start, goal):
         return _plan_result(start.reshape(1, 3), np.array([s_margin]), "cached", t0, params)
-    label = smap.segment_of
-    s_label, g_label = label[s_id], label[g_id]
-    (s_p, s_r), (g_p, g_r) = smap.node_index.row(s_id), smap.node_index.row(g_id)
-    adj = _graph_costs(smap, params)
-    s_dist, s_came = _best_first(adj, {s_id: _step_cost(start, s_margin, s_p, s_r, params)},
-                                 members=smap.segments[s_label].members)
-    g_dist, g_came = _best_first(adj, {g_id: _step_cost(goal, g_margin, g_p, g_r, params)},
-                                 members=smap.segments[g_label].members)
+    weights, label = smap.plan_params, smap.segment_of
+    s_seg, g_seg = smap.segments[label[s_id]], smap.segments[label[g_id]]
+    g_p, g_r = smap.node_index.row(g_id)
+    s_step = _step_cost(start, s_margin, *smap.node_index.row(s_id), weights)
+    g_step = _step_cost(goal, g_margin, g_p, g_r, weights)
+    direct = inside = None  # the direct same-segment route, beside the meta-path
+    if s_seg is g_seg:
+        inside = _best_first(_graph_costs(smap, weights), {s_id: s_step}, g_id,
+                             _distance_to(smap, g_p, s_seg.members), s_seg.members)
+    if inside is not None:
+        dl, dz = transition_cost(g_p, g_r, goal, g_margin, weights)
+        direct = inside[0][g_id] + dl + dz
 
-    # Direct same-segment route, kept as a candidate alongside the meta-path.
-    direct = None
-    if s_label == g_label and g_id in s_dist:
-        dl, dz = transition_cost(g_p, g_r, goal, g_margin, params)
-        direct = s_dist[g_id] + dl + dz
-
-    meta = dict(_meta_static(smap, params))
-    meta[-1] = [(e, s_dist[e]) for e in smap.segment_portal_nodes(s_label) if e in s_dist]
-    for e in smap.segment_portal_nodes(g_label):
-        if e in g_dist:
-            meta[e] = meta[e] + [(-2, g_dist[e])]
+    meta = dict(_meta_static(smap, weights))
+    s_tab, g_tab = s_seg.portal_tables, g_seg.portal_tables
+    meta[-1] = [(e, s_step + s_tab[e][0][s_id])
+                for e in smap.segment_portal_nodes(s_seg.label) if s_id in s_tab[e][0]]
+    meta.update((e, meta[e] + [(-2, g_step + g_tab[e][0][g_id])])
+                for e in smap.segment_portal_nodes(g_seg.label) if g_id in g_tab[e][0])
     found = _best_first(meta, {-1: 0.0}, goal=-2)
     if found is None and direct is None:
         return None
 
     if direct is not None and (found is None or direct <= found[0][-2]):
-        node_path = _unwind(s_came, g_id)
+        node_path = _unwind(inside[1], g_id)
     else:
         hops = _unwind(found[1], -2)[1:-1]
-        node_path = _unwind(s_came, hops[0])
+        node_path = _unwind(s_tab[hops[0]][1], s_id)[::-1]
         for u, v in zip(hops, hops[1:]):
             if label[u] != label[v]:
                 node_path.append(v)  # portal crossing
@@ -336,7 +336,7 @@ def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
             cache = smap.segments[label[u]].path_cache
             seq = cache[(u, v)][0] if (u, v) in cache else cache[(v, u)][0][::-1]
             node_path.extend(seq[1:])
-        node_path.extend(_unwind(g_came, hops[-1])[-2::-1])
+        node_path.extend(_unwind(g_tab[hops[-1]][1], g_id)[1:])
     return _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
                                  "cached", t0, params)
 

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import geometry, planner
+from . import geometry
 from .spatial import ObstacleIndex
 from .voxelgrid import OccupancyGrid, grid_obstacles
 
@@ -111,27 +111,19 @@ def check_structure(smap) -> list[str]:
         if pair not in smap.portals:
             problems.append(f"adjacent segments {pair} lack a portal")
 
-    # Caches: right key set, valid sequences, costs reproducible exactly.
+    # Caches: one node-to-portal table per live portal endpoint, tables and
+    # portal-pair paths bit-equal to a fresh run of the kernel that built them.
     for label, seg in smap.segments.items():
         if seg.altered:
             problems.append(f"segment {label} left altered after iteration")
-        endpoints = smap.segment_portal_nodes(label)
-        expected = {(a, b) for i, a in enumerate(endpoints) for b in endpoints[i + 1:]}
-        if set(seg.path_cache.keys()) != expected:
-            problems.append(f"segment {label} cache keys mismatch portal pairs")
-            continue
-        for (u, v), (path, cost) in seg.path_cache.items():
-            if path[0] != u or path[-1] != v:
-                problems.append(f"cache {label}:{(u, v)} endpoints mismatch")
-                continue
-            ok = all(n in seg.members for n in path)
-            ok = ok and all(path[i + 1] in smap.adj[path[i]] for i in range(len(path) - 1))
-            if not ok:
-                problems.append(f"cache {label}:{(u, v)} path leaves the segment")
-                continue
-            redo = planner.astar_nodes(smap, u, v, smap.plan_params, restrict=label)
-            if redo is None or redo[1] != cost:
-                problems.append(f"cache {label}:{(u, v)} cost differs from recomputation")
+        if sorted(seg.portal_tables) != smap.segment_portal_nodes(label):
+            problems.append(f"segment {label} table keys mismatch its portal nodes")
+        tables, cache = smap._portal_tables(label)
+        problems += [f"table {label}:{e} differs from recomputation"
+                     for e in sorted(tables) if seg.portal_tables.get(e) != tables[e]]
+        problems += [f"cache {label}:{key} differs from recomputation"
+                     for key in sorted(set(seg.path_cache) | set(cache))
+                     if seg.path_cache.get(key) != cache.get(key)]
 
     if cube is not None:
         ids = sorted(smap.nodes_in_cube(cube))

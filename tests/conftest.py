@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from spheremap import FREE, OCCUPIED, OccupancyGrid
+from spheremap import FREE, OCCUPIED, BuildParams, OccupancyGrid, SphereMap
 
 # Property tests draw the same bounded set of examples on every run and keep
 # no example database, so the suite stays reproducible. With 1000 examples
@@ -59,6 +59,22 @@ def two_rooms_with_corridor(room=8.0, corridor_len=20.0, corridor_width=2.4,
     c1 = np.array([room / 2, yc, height / 2])
     c2 = np.array([room + corridor_len + room / 2, yc, height / 2])
     return grid, c1, c2, (room, room + corridor_len)
+
+
+def segmented_two_rooms(r_exp=2.0, seed=None):
+    """``two_rooms_with_corridor`` mapped by nine updates from room to room.
+    Small segments (``r_exp``) cut the map into many segments joined by
+    portals. With no ``seed`` the candidates are every other voxel, a
+    lattice rich in equal-cost paths; with one, 96 rays per update drawn
+    from the map's RNG. Returns (grid, smap, room1_center, room2_center)."""
+    grid, c1, c2, _ = two_rooms_with_corridor()
+    sampling = (dict(voxel_stride=2, ray_count=0) if seed is None
+                else dict(per_voxel_samples=False, ray_count=96))
+    smap = SphereMap(BuildParams(cube_side=16.0, r_exp=r_exp, r_merge=2.0 * r_exp, **sampling),
+                     seed=seed or 0)
+    for t in np.linspace(0, 1, 9):
+        smap.update_iteration(grid, c1 + t * (c2 - c1))
+    return grid, smap, c1, c2
 
 
 def wall_gap_room(resolution=0.2):

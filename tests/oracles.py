@@ -2,7 +2,9 @@
 
 Deliberately simple and separate from the package internals: uniform-cost
 search with its own cost arithmetic, a random sphere-map generator, and
-brute-force coverage and redundancy oracles.
+brute-force coverage and redundancy oracles. One exception:
+``plan_cached_two_dijkstra`` keeps an earlier cached planner, built on the
+planner's own kernels, as the reference its table-driven successor must match.
 """
 
 import heapq
@@ -13,6 +15,9 @@ from scipy.spatial import cKDTree
 
 from spheremap import FREE, OCCUPIED, BuildParams, SphereMap, UpdateCube
 from spheremap.geometry import covered_fractions
+from spheremap.planner import (_attach, _best_first, _finish_sphere_result, _graph_costs,
+                               _meta_static, _plan_result, _step_cost, _unwind,
+                               transition_cost)
 from spheremap.voxelgrid import frontier_points, obstacle_points
 
 
@@ -250,3 +255,52 @@ def reveal_per_ray(working, world, pos, directions, step, n_steps):
             working.states[ijk] = world.states[ijk]
             if world.states[ijk] == OCCUPIED:
                 break
+
+
+def plan_cached_two_dijkstra(smap, start, goal, params):
+    """The cached planner before node-to-portal tables: a Dijkstra from each
+    endpoint over its whole segment gives the legs to the portals, and the
+    meta-graph search and path assembly are as in ``plan_cached``."""
+    start = np.asarray(start, dtype=float)
+    goal = np.asarray(goal, dtype=float)
+    s_id, s_margin = _attach(smap, start, segmented_only=True)
+    g_id, g_margin = _attach(smap, goal, segmented_only=True)
+    if s_id is None or g_id is None:
+        return None
+    if np.array_equal(start, goal):
+        return _plan_result(start.reshape(1, 3), np.array([s_margin]), "cached", 0.0, params)
+    label = smap.segment_of
+    s_label, g_label = label[s_id], label[g_id]
+    (s_p, s_r), (g_p, g_r) = smap.node_index.row(s_id), smap.node_index.row(g_id)
+    adj = _graph_costs(smap, params)
+    s_dist, s_came = _best_first(adj, {s_id: _step_cost(start, s_margin, s_p, s_r, params)},
+                                 members=smap.segments[s_label].members)
+    g_dist, g_came = _best_first(adj, {g_id: _step_cost(goal, g_margin, g_p, g_r, params)},
+                                 members=smap.segments[g_label].members)
+    direct = None
+    if s_label == g_label and g_id in s_dist:
+        dl, dz = transition_cost(g_p, g_r, goal, g_margin, params)
+        direct = s_dist[g_id] + dl + dz
+    meta = dict(_meta_static(smap, params))
+    meta[-1] = [(e, s_dist[e]) for e in smap.segment_portal_nodes(s_label) if e in s_dist]
+    for e in smap.segment_portal_nodes(g_label):
+        if e in g_dist:
+            meta[e] = meta[e] + [(-2, g_dist[e])]
+    found = _best_first(meta, {-1: 0.0}, goal=-2)
+    if found is None and direct is None:
+        return None
+    if direct is not None and (found is None or direct <= found[0][-2]):
+        node_path = _unwind(s_came, g_id)
+    else:
+        hops = _unwind(found[1], -2)[1:-1]
+        node_path = _unwind(s_came, hops[0])
+        for u, v in zip(hops, hops[1:]):
+            if label[u] != label[v]:
+                node_path.append(v)
+                continue
+            cache = smap.segments[label[u]].path_cache
+            seq = cache[(u, v)][0] if (u, v) in cache else cache[(v, u)][0][::-1]
+            node_path.extend(seq[1:])
+        node_path.extend(_unwind(g_came, hops[-1])[-2::-1])
+    return _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
+                                 "cached", 0.0, params)

@@ -109,6 +109,16 @@ class TestCoveredFractions:
             row = covered_fractions(r_small[i], d[i], r_big)
             assert np.array_equal(mat[i], row)
 
+    def test_chosen_entries_match_the_matrix(self):
+        rng = np.random.default_rng(12)
+        r_small = rng.uniform(0.5, 1.5, 40)
+        r_big = rng.uniform(0.5, 2.5, 30)
+        d = rng.uniform(0.0, 3.0, (40, 30))
+        i, j = np.nonzero(rng.random((40, 30)) < 0.3)
+        picked = coverage_matrix(r_small, d[i, j], r_big, pairs=(i, j))
+        assert np.array_equal(picked, coverage_matrix(r_small, d, r_big)[i, j])
+        assert 0 < np.count_nonzero(picked) < len(picked)
+
 
 class TestEnclosingSphere:
     def test_single_sphere(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -6,13 +7,14 @@ import pytest
 
 from spheremap import (FREE, OCCUPIED, BuildParams, ClearanceField, ObstacleIndex, PlannerParams, Portal,
                        Segment, SphereMap, astar_nodes, astar_sphere_graph,
-                       downsample, evaluate_path, grid_astar, plan_cached, rrt_star,
-                       transition_cost)
+                       downsample, evaluate_path, grid_astar, load_map, plan_cached, rrt_star,
+                       save_map, transition_cost)
 from spheremap.planner import _attach, _chain_cost
 from spheremap.voxelgrid import grid_obstacles
 
-from conftest import box_room, two_rooms_with_corridor, wall_gap_room
-from oracles import _attach_oracle, random_sphere_map, ucs_node_cost, ucs_optimal
+from conftest import box_room, segmented_two_rooms, two_rooms_with_corridor, wall_gap_room
+from oracles import (_attach_oracle, plan_cached_two_dijkstra, random_sphere_map, ucs_node_cost,
+                     ucs_optimal)
 
 PARAMS = PlannerParams(xi=7.0, d_max=2.0, r_min=0.8)
 
@@ -255,8 +257,8 @@ class TestPlanCached:
         segments = {0: [0, 1], 1: [2, 3]}
         portals = {(0, 1): (1, 2)}
         smap, ids = hand_map(chain, segments, portals)
-        for seg in smap.segments.values():
-            seg.path_cache = {}
+        for label in segments:
+            smap._rebuild_cache(label)
         return smap
 
     def test_two_segments_one_portal_decomposition(self):
@@ -365,6 +367,82 @@ class TestPlanCached:
         smap.adj[2].discard(1)
         res = plan_cached(smap, np.array([0.0, 0, 0]), np.array([6.0, 0, 0]), PARAMS)
         assert res is None
+
+
+def query_points(smap, n=24):
+    """n node centres spread over the map's ids, each nudged off its centre."""
+    ids = sorted(smap.adj)
+    pos, radii = smap.node_index.rows(ids[::max(len(ids) // n, 1)][:n])
+    return pos + 0.3 * radii[:, None] * np.array([0.6, -0.48, 0.64])
+
+
+def same_plans(a, b):
+    """Both None, or the same waypoints, clearances, length and risk."""
+    if a is None or b is None:
+        return a is None and b is None
+    return (np.array_equal(a.waypoints, b.waypoints) and np.array_equal(a.clearances, b.clearances)
+            and (a.length, a.risk) == (b.length, b.risk))
+
+
+@pytest.fixture(scope="module", params=[0, 1, 2])
+def grown_map(request):
+    return segmented_two_rooms(2.0, seed=request.param)
+
+
+class TestPortalTables:
+    """The node-to-portal tables replace the per-query endpoint searches."""
+
+    def test_plans_match_the_two_dijkstra_planner(self, grown_map):
+        _, smap, _, _ = grown_map
+        assert sum(len(smap.segment_portal_nodes(label)) > 1 for label in smap.segments) > 5
+        segments_crossed = []
+        for a, b in itertools.combinations(query_points(smap), 2):
+            res = plan_cached(smap, a, b, smap.plan_params)
+            assert same_plans(res, plan_cached_two_dijkstra(smap, a, b, smap.plan_params))
+            if res is not None:
+                segments_crossed.append(len({smap.segment_of[i]
+                                             for i in node_ids(smap, res.waypoints)}))
+        # same-segment queries, and queries through cached portal-pair paths
+        assert min(segments_crossed) == 1 and max(segments_crossed) >= 4
+
+    def test_lattice_ties_keep_the_cost(self):
+        # On a voxel lattice many paths cost the same up to rounding, and a
+        # search from the portal may settle another of them than a search
+        # from the endpoint did: the costs agree, the waypoints need not.
+        _, smap, _, _ = segmented_two_rooms(2.0)
+        for a, b in itertools.combinations(query_points(smap, 12), 2):
+            res = plan_cached(smap, a, b, smap.plan_params)
+            ref = plan_cached_two_dijkstra(smap, a, b, smap.plan_params)
+            assert (res is None) == (ref is None)
+            if res is not None:
+                assert res.cost == pytest.approx(ref.cost, rel=1e-12)
+
+    def test_search_weights_are_the_maps(self, grown_map):
+        _, smap, _, _ = grown_map
+        flat = PlannerParams(xi=0.0)
+        for a, b in itertools.combinations(query_points(smap, 12), 2):
+            res = plan_cached(smap, a, b, flat)
+            ref = plan_cached(smap, a, b, smap.plan_params)
+            assert (res is None) == (ref is None)
+            if res is not None:
+                np.testing.assert_array_equal(res.waypoints, ref.waypoints)
+                assert (res.length, res.risk) == _chain_cost(res.waypoints, res.clearances, flat)
+                assert res.risk == 0.0
+
+    def test_live_tables_plan_like_a_reloaded_map(self):
+        grid, smap, c1, c2 = segmented_two_rooms(2.0, seed=1)
+        # Block part of room 1 and revisit it: room 1's segments change,
+        # while room 2 keeps the tables of the first pass.
+        grid.states[10:20, 10:20, :] = OCCUPIED
+        for p in (c1, c1 + np.array([1.0, 1.0, 0.0]), 0.5 * (c1 + c2)):
+            smap.update_iteration(grid, p)
+        loaded = load_map(save_map(smap))
+        assert all(loaded.segments[label].portal_tables == seg.portal_tables
+                   and loaded.segments[label].path_cache == seg.path_cache
+                   for label, seg in smap.segments.items())
+        for a, b in itertools.combinations(query_points(smap), 2):
+            assert same_plans(plan_cached(smap, a, b, smap.plan_params),
+                              plan_cached(loaded, a, b, smap.plan_params))
 
 
 def corridor_grid(n=12, width=5, resolution=1.0):

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
-from spheremap import UNKNOWN, BuildParams, SphereMap, check_clearance
+from spheremap import UNKNOWN, BuildParams, SphereMap, check_clearance, check_structure
 
-from conftest import box_room
+from conftest import box_room, segmented_two_rooms
 
 
 class TestCheckClearance:
@@ -27,3 +28,23 @@ class TestCheckClearance:
             smap = SphereMap(BuildParams(frontier_connectivity=connectivity))
             smap._add_node(p, 1.0)
             assert len(check_clearance(smap, grid)) == expected
+
+
+class TestCheckStructure:
+    @pytest.mark.parametrize("tamper", ["table cost", "cached path", "table key"])
+    def test_reports_a_tampered_table_or_cached_path(self, tamper):
+        _, smap, _, _ = segmented_two_rooms(2.0, seed=1)
+        assert check_structure(smap) == []
+        label = min(label for label, seg in smap.segments.items() if seg.path_cache)
+        seg = smap.segments[label]
+        (a, b), (path, cost) = min(seg.path_cache.items())
+        if tamper == "table cost":
+            seg.portal_tables[a][0][b] = np.nextafter(seg.portal_tables[a][0][b], np.inf)
+            expected = f"table {label}:{a} differs from recomputation"
+        elif tamper == "cached path":
+            seg.path_cache[(a, b)] = (path[:1] + path[-1:], cost)
+            expected = f"cache {label}:{(a, b)} differs from recomputation"
+        else:
+            del seg.portal_tables[b]
+            expected = f"segment {label} table keys mismatch its portal nodes"
+        assert expected in check_structure(smap)
