@@ -111,13 +111,20 @@ class Portal:
 
 @dataclass
 class IterationReport:
+    """What one ``update_iteration`` did.
+
+    ``timings`` holds the seconds of each stage: ``extract`` (the cube's
+    surface and frontier voxels), ``index`` (the obstacle k-d tree),
+    ``prune``, ``expand`` and ``segment``. ``counters`` holds the counts of
+    indexed points (``index.surface_points``, ``index.frontier_points``) and
+    the stats of the three steps, keyed ``<stage>.<stat>``. Both stay empty
+    when the cube misses the grid.
+    """
+
     timings: dict[str, float]
+    counters: dict[str, int] = field(default_factory=dict)
     nodes_added: int = 0
     nodes_removed: int = 0
-    segments_split: int = 0
-    segments_created: int = 0
-    segments_merged: int = 0
-    caches_rebuilt: int = 0
     node_count: int = 0
     edge_count: int = 0
     segment_count: int = 0
@@ -726,9 +733,13 @@ class SphereMap:
 
         t = time.perf_counter()
         frontiers = frontier_points(grid, padded, self.params.frontier_connectivity)
-        index = ObstacleIndex.build(surface_points(grid, padded), frontiers)
+        surface = surface_points(grid, padded)
         self._update_frontier_store(padded, frontiers)
         timings["extract"] = time.perf_counter() - t
+
+        t = time.perf_counter()
+        index = ObstacleIndex.build(surface, frontiers)
+        timings["index"] = time.perf_counter() - t
 
         t = time.perf_counter()
         prune_stats = self.recompute_and_prune(index, grid, cube)
@@ -750,8 +761,9 @@ class SphereMap:
         report.node_count = self.node_count()
         report.edge_count = self.edge_count()
         report.segment_count = len(self.segments)
-        report.segments_split = segment_stats["split"]
-        report.segments_created = segment_stats["created"]
-        report.segments_merged = segment_stats["merged"]
-        report.caches_rebuilt = segment_stats["caches_rebuilt"]
+        report.counters = {"index.surface_points": len(surface),
+                           "index.frontier_points": len(frontiers)}
+        for stage, stats in (("prune", prune_stats), ("expand", expand_stats),
+                             ("segment", segment_stats)):
+            report.counters.update({f"{stage}.{k}": v for k, v in stats.items()})
         return report

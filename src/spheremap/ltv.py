@@ -13,9 +13,9 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BadMagicError, PayloadError, TruncatedError
+from .spatial import kdtree
 from .voxelgrid import FREE, OccupancyGrid, downsample, save_grid
 
 _MAGIC = b"LTVM"
@@ -131,7 +131,7 @@ def _cluster_goals(points: np.ndarray, radius: float = GOAL_CLUSTER_RADIUS) -> n
     if len(points) > 20000:
         stride = -(-len(points) // 20000)
         points = points[::stride]
-    tree = cKDTree(points)
+    tree = kdtree(points)
     counts = tree.query_ball_point(points, radius, return_length=True)
     order = np.lexsort((np.arange(len(points)), -counts))
     unassigned = np.ones(len(points), dtype=bool)

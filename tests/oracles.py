@@ -239,6 +239,28 @@ def greedy_goal_clusters(points, radius):
     return np.array(goals)
 
 
+def cluster_goals_default_tree(points, radius):
+    """``ltv._cluster_goals`` on scipy's default k-d tree, the yardstick for
+    the package's own tree configuration."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(points) == 0:
+        return np.empty((0, 3))
+    if len(points) > 20000:
+        points = points[::-(-len(points) // 20000)]
+    tree = cKDTree(points)
+    counts = tree.query_ball_point(points, radius, return_length=True)
+    unassigned = np.ones(len(points), dtype=bool)
+    goals = []
+    for i in np.lexsort((np.arange(len(points)), -counts)):
+        if not unassigned[i]:
+            continue
+        neigh = np.asarray(tree.query_ball_point(points[i], radius, return_sorted=True))
+        members = neigh[unassigned[neigh]]
+        unassigned[members] = False
+        goals.append(points[members].mean(axis=0))
+    return np.array(goals)
+
+
 def reveal_per_ray(working, world, pos, directions, step, n_steps):
     """Walk each ray alone, sample k * step for k = 1..n_steps: stop before
     the first voxel outside the grid, or after revealing the first occupied

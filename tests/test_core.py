@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spheremap import (FREE, OCCUPIED, BuildParams, ObstacleIndex, OccupancyGrid, Segment,
-                       SphereMap, UpdateCube, check_all, plan_cached)
+from spheremap import (FREE, OCCUPIED, UNKNOWN, BuildParams, ObstacleIndex, OccupancyGrid,
+                       Segment, SphereMap, UpdateCube, check_all, plan_cached)
 from spheremap.geometry import covered_fractions
+from spheremap.voxelgrid import frontier_points, surface_points
 
 from conftest import box_room, spherical_cavity, two_rooms_with_corridor
 from oracles import expand_oracle, nearest_coverer
@@ -285,8 +286,40 @@ class TestUpdateIteration:
     def test_report_carries_segment_update_stats(self, small_room):
         smap = make_map()
         rep = smap.update_iteration(small_room, np.array([4.0, 4.0, 1.5]))
-        assert rep.segments_created >= 1
-        assert rep.caches_rebuilt == rep.segment_count == len(smap.segments)
+        assert rep.counters["segment.created"] >= 1
+        assert rep.counters["segment.caches_rebuilt"] == rep.segment_count == len(smap.segments)
+
+    def test_report_counters_equal_step_stats(self, monkeypatch):
+        grid, c1, c2, _ = two_rooms_with_corridor(room=6.0, corridor_len=8.0)
+        known = grid.states.copy()
+        far_half = grid.states[grid.states.shape[0] // 2:]
+        far_half[far_half == FREE] = UNKNOWN
+        smap = make_map(cube_side=10.0)
+        returned = {}
+        for stage, method in (("prune", "recompute_and_prune"), ("expand", "expand"),
+                              ("segment", "segment_update")):
+            def record(*args, _stage=stage, _step=getattr(SphereMap, method)):
+                returned[_stage] = _step(*args)
+                return returned[_stage]
+            monkeypatch.setattr(SphereMap, method, record)
+        seen = {}
+        for step, uav in enumerate((c1, 0.5 * (c1 + c2), c1)):
+            if step == 2:  # reveal the far half and put a pillar in the first room
+                grid.states[:] = known
+                grid.states[14:18, 14:18, :] = OCCUPIED
+            rep = smap.update_iteration(grid, uav)
+            padded = UpdateCube(uav, 10.0).padded(smap.params.r_cap)
+            expected = {"index.surface_points": len(surface_points(grid, padded)),
+                        "index.frontier_points": len(frontier_points(grid, padded))}
+            for stage, stats in returned.items():
+                expected.update({f"{stage}.{k}": v for k, v in stats.items()})
+            assert rep.counters == expected
+            assert list(rep.timings) == ["extract", "index", "prune", "expand", "segment"]
+            assert rep.total_time == sum(rep.timings.values())
+            seen = {k: max(v, seen.get(k, 0)) for k, v in rep.counters.items()}
+        assert all(seen[k] > 0 for k in ("index.frontier_points", "prune.removed_unsafe",
+                                          "prune.radius_changed", "expand.added",
+                                          "segment.split"))
 
     def test_degenerate_cube_is_noop(self, small_room):
         smap = make_map()

@@ -2,14 +2,46 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from spheremap import NodeIndex, ObstacleIndex
+from spheremap.ltv import GOAL_CLUSTER_RADIUS, _cluster_goals
+from spheremap.spatial import kdtree
+
+from oracles import cluster_goals_default_tree
 
 
-def linear_scan_nearest(points, q):
-    if len(points) == 0:
-        return math.inf
-    return float(np.min(np.linalg.norm(points - q, axis=1)))
+def linear_scan_nearest(points, queries):
+    """sqrt(min((dx*dx + dy*dy) + dz*dz)) over the points, for each query."""
+    delta = queries[:, None, :] - points[None, :, :]
+    dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
+    return np.sqrt(((dx * dx + dy * dy) + dz * dz).min(axis=1))
+
+
+@st.composite
+def lattice_cases(draw):
+    """Voxel centres of a random lattice, some repeated, and queries at voxel
+    centres (also rounded to float32, as expand's candidates are), on cell
+    faces and corners, inside cells and far outside."""
+    resolution = draw(st.sampled_from([0.1, 0.2, 0.25, 0.4, 1.0]))
+    origin = np.array(draw(st.tuples(*[st.floats(-50.0, 50.0)] * 3)))
+    shape = np.array(draw(st.tuples(*[st.integers(1, 12)] * 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    idx = rng.integers(0, shape, size=(draw(st.integers(1, 120)), 3))
+    idx = np.concatenate([idx, idx[:draw(st.integers(0, len(idx)))]])
+    points = origin + resolution * (idx + 0.5)
+    cells = rng.integers(-2, shape + 2, size=(60, 3))
+    centres = origin + resolution * (cells + 0.5)
+    offsets = np.where(rng.random((60, 3)) < 0.5, 0.0, 0.5)
+    offsets[np.arange(60), rng.integers(0, 3, 60)] = rng.choice([0.0, 1.0], 60)
+    queries = np.concatenate([
+        centres, np.asarray(np.asarray(centres, dtype=np.float32), dtype=float),
+        origin + resolution * (cells + offsets),
+        origin + resolution * (cells + rng.uniform(0.01, 0.99, (60, 3))),
+        origin + rng.uniform(-1e3, 1e3, (20, 3))])
+    return points, queries
 
 
 class TestObstacleIndex:
@@ -40,9 +72,36 @@ class TestObstacleIndex:
         pts = rng.uniform(-50, 50, size=(1000, 3))
         index = ObstacleIndex(pts)
         queries = rng.uniform(-60, 60, size=(100, 3))
-        got = index.nearest_distances(queries)
-        for q, g in zip(queries, got):
-            assert g == pytest.approx(linear_scan_nearest(pts, q), abs=1e-12)
+        assert np.array_equal(index.nearest_distances(queries),
+                              linear_scan_nearest(pts, queries))
+
+    @given(lattice_cases())
+    def test_lattice_distances_are_exact(self, case):
+        points, queries = case
+        got = ObstacleIndex(points).nearest_distances(queries)
+        assert np.array_equal(got, cKDTree(points).query(queries)[0])
+        assert np.array_equal(got, linear_scan_nearest(points, queries))
+
+
+class TestKdtree:
+    @given(lattice_cases())
+    def test_lattice_ball_counts_match_default_tree(self, case):
+        points, queries = case
+        # A distance between lattice points, so some points lie on the sphere.
+        radius = float(np.linalg.norm(points[0] - points[-1])) or 1.0
+        assert np.array_equal(
+            kdtree(points).query_ball_point(queries, radius, return_length=True),
+            cKDTree(points).query_ball_point(queries, radius, return_length=True))
+
+    def test_cluster_goals_match_default_tree(self):
+        # 30,000 points of a 0.4 m lattice: the input is thinned to every
+        # second point and each seed's ball holds hundreds of them.
+        lattice = np.argwhere(np.ones((120, 120, 11), dtype=bool))
+        rng = np.random.default_rng(4)
+        points = 0.4 * (lattice[rng.choice(len(lattice), 30000, replace=False)] + 0.5)
+        expected = cluster_goals_default_tree(points, GOAL_CLUSTER_RADIUS)
+        assert len(expected) > 1
+        assert _cluster_goals(points).tobytes() == expected.tobytes()
 
 
 class TestNodeIndex:
