@@ -17,7 +17,7 @@ import numpy as np
 from . import ltv as ltv_mod
 from .errors import ConfigError
 from .mission import MissionTrace, run_mission
-from .planner import (ClearanceField, PlannerParams, _graph_costs,
+from .planner import (ClearanceField, PlannerParams, _map_view,
                       astar_sphere_graph, evaluate_path, grid_astar,
                       plan_cached, rrt_star)
 from .spatial import ObstacleIndex
@@ -119,9 +119,10 @@ def sample_goal_nodes(smap, n: int, seed: int = 0, margin: float = 0.5) -> list[
 
 def _run_mode(mode, smap, coarse, coarse_field, start, goals, params,
               rrt_timeout, rrt_seed):
-    if mode in ("full-graph", "cached"):
-        # Warm the cost table outside the timed region; cached search uses the map's weights.
-        _graph_costs(smap, params if mode == "full-graph" else smap.plan_params)
+    if mode == "full-graph":
+        # Warm the whole-map view outside the timed region; cached search
+        # reads the segments' views, which the map keeps.
+        _map_view(smap, params)
     results = []
     times = []
     for gi, goal in enumerate(goals):

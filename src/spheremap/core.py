@@ -3,11 +3,12 @@
 The dense layer is an undirected graph of free-space spheres (center, radius =
 nearest-obstacle distance); two spheres are connected when their intersection
 circle radius exceeds ``r_min``. A node is an id: its center and radius live
-only in its ``NodeIndex`` row (``node_index.row`` / ``rows``), its links in
-``adj`` and its segment label in ``segment_of``. The sparse layer partitions
-the nodes into roughly convex segments joined by portals; each segment
-caches a Dijkstra table per portal endpoint and the portal-to-portal paths
-read off them.
+only in its ``NodeIndex`` row (``node_index.row`` / ``rows``), its links and
+their step costs (priced by ``_recompute_edges``) in ``adj`` and its segment
+label in ``segment_of``. The sparse layer partitions the nodes into roughly
+convex segments joined by portals; each segment caches a CSR view of its
+edges, a csgraph Dijkstra table per portal endpoint and the portal-to-portal
+paths read off them, so a rebuild reads only the segment's own edges.
 
 One ``update_iteration`` mutates only the cube around the vehicle, in three
 steps: radius recomputation + pruning, expansion by sampling, then
@@ -23,6 +24,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import geometry, planner
 from .spatial import NodeIndex, ObstacleIndex
@@ -84,16 +86,17 @@ class BuildParams:
 @dataclass
 class Segment:
     """Connected, roughly convex cluster of nodes with cached portal paths:
-    ``portal_tables[e] = (g, came)``, the Dijkstra from portal endpoint ``e``
-    over the members, and ``path_cache[(a, b)] = (path, cost)`` for ``a < b``
-    read off ``a``'s table. Both are rebuilt with the segment's caches."""
+    ``view`` of the members, ``portal_tables[e] = (dist, pred)``, the csgraph
+    Dijkstra rows from portal endpoint ``e`` over it, and ``path_cache[(a, b)]
+    = (path, cost)`` for ``a < b`` read off ``a``'s table; rebuilt together."""
 
     label: int
     members: set[int]
     center: np.ndarray
     radius: float
     path_cache: dict[tuple[int, int], tuple[tuple[int, ...], float]] = field(default_factory=dict)
-    portal_tables: dict[int, tuple[dict, dict]] = field(default_factory=dict)
+    portal_tables: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    view: "planner.GraphView | None" = None
     altered: bool = True
     box_dirty: bool = True
     cached_box: tuple | None = None
@@ -140,7 +143,7 @@ class SphereMap:
     def __init__(self, params: BuildParams | None = None, seed: int = 0):
         self.params = params if params is not None else BuildParams()
         self.plan_params = self.params.planner_params()
-        self.adj: dict[int, set[int]] = {}
+        self.adj: dict[int, dict[int, float]] = {}
         self.node_index = NodeIndex()
         self.segment_of: dict[int, int | None] = {}
         self.segments: dict[int, Segment] = {}
@@ -150,6 +153,8 @@ class SphereMap:
         self.rng = np.random.default_rng(seed)
         self.last_cube: UpdateCube | None = None
         self.mutation_token = 0
+        self.map_view = self.meta_graph = None  # planner caches: (key, value)
+        self._edge_count = 0
         self._next_node_id = 0
         self._next_label = 0
 
@@ -161,7 +166,7 @@ class SphereMap:
         return len(self.node_index)
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj.values()) // 2
+        return self._edge_count
 
     def edges(self):
         for a, nbrs in self.adj.items():
@@ -179,7 +184,7 @@ class SphereMap:
         p = np.asarray(np.asarray(p, dtype=np.float32), dtype=float)
         r = float(np.float32(r))
         self.segment_of[nid] = None
-        self.adj[nid] = set()
+        self.adj[nid] = {}
         self.node_index.insert(nid, p, aux=r)
         self.mutation_token += 1
         return nid
@@ -195,7 +200,8 @@ class SphereMap:
     def _remove_node(self, nid: int) -> None:
         label = self.segment_of.pop(nid)
         for nb in self.adj.pop(nid):
-            self.adj[nb].discard(nid)
+            del self.adj[nb][nid]
+            self._edge_count -= 1
             self._mark_altered(nb)
         self.node_index.remove(nid)
         if label is not None:
@@ -213,23 +219,25 @@ class SphereMap:
         self.mutation_token += 1
 
     def _recompute_edges(self, nid: int):
-        """Re-derive this node's adjacency from the intersection rule; return
-        the neighbours' ids, positions and radii."""
+        """Re-derive this node's links (intersection rule) and their costs (one
+        ``transition_cost`` call); return the neighbours' ids, positions and radii."""
         p, r = self.node_index.row(nid)
         ids, pos, aux, d = self.node_index.query(p, r + self.node_index.max_aux())
         keep = (geometry.intersection_radii(d, r, aux) > self.params.r_min) & (ids != nid)
         ids, pos, aux = ids[keep], pos[keep], aux[keep]
-        new_nbrs = {int(i) for i in ids}
+        dl, dz = planner.transition_cost(p, r, pos, aux, self.plan_params)
+        new = dict(zip(ids.tolist(), (dl + dz).tolist()))
         old = self.adj[nid]
-        for nb in new_nbrs - old:
-            self.adj[nb].add(nid)
+        for nb in new.keys() ^ old.keys():
             self._mark_altered(nb)
-        for nb in old - new_nbrs:
-            self.adj[nb].discard(nid)
-            self._mark_altered(nb)
-        if new_nbrs != old:
-            self.adj[nid] = new_nbrs
+        for nb in old.keys() - new.keys():
+            del self.adj[nb][nid]
+        for nb, w in new.items():
+            self.adj[nb][nid] = w
+        if new != old:  # a new price alone means a new radius, marked already
             self._mark_altered(nid)
+            self._edge_count += len(new) - len(old)
+            self.adj[nid] = new
             self.mutation_token += 1
         return ids, pos, aux
 
@@ -471,32 +479,18 @@ class SphereMap:
         seg.center, seg.radius = geometry.enclosing_sphere(
             *self.node_index.rows(sorted(seg.members)))
 
-    def _components(self, members: set[int]) -> list[set[int]]:
-        out = []
-        todo = set(members)
-        while todo:
-            seed = min(todo)
-            comp = {seed}
-            stack = [seed]
-            while stack:
-                cur = stack.pop()
-                for nb in self.adj[cur]:
-                    if nb in todo and nb not in comp:
-                        comp.add(nb)
-                        stack.append(nb)
-            todo -= comp
-            out.append(comp)
-        return out
-
     def _split_disconnected(self, labels) -> list[int]:
         created = []
         for label in sorted(labels):
             seg = self.segments.get(label)
-            if seg is None:
+            if seg is None or not seg.altered:  # nothing unlinked a member
                 continue
-            comps = self._components(seg.members)
-            if len(comps) <= 1:
+            view = planner.graph_view(self, seg.members)
+            # A view is symmetric: strong components are connected ones.
+            count, comp_of = connected_components(view.graph, connection="strong")
+            if count <= 1:
                 continue
+            comps = [set(view.ids[comp_of == k].tolist()) for k in range(count)]
             comps.sort(key=lambda c: (-len(c), min(c)))
             seg.members = comps[0]
             seg.altered = True
@@ -619,25 +613,25 @@ class SphereMap:
         return sorted(out)
 
     def _portal_tables(self, label: int):
-        """({portal node: (g, came)}, path cache) of one segment: one
-        ``_best_first`` Dijkstra from each portal endpoint over the members,
-        under ``plan_params``, and the portal-pair paths read off the tables.
-        The one kernel behind ``_rebuild_cache`` and ``check_structure``."""
-        members = self.segments[label].members
+        """(view, {portal node: (dist, pred)}, path cache) of one segment: one
+        csgraph Dijkstra from all portal endpoints over the segment's view,
+        and the portal-pair paths read off the tables. The one kernel behind
+        ``_rebuild_cache`` and ``check_structure``."""
+        view = planner.graph_view(self, self.segments[label].members)
         ends = self.segment_portal_nodes(label)
-        adj = planner._graph_costs(self, self.plan_params) if ends else {}
-        tables = {e: planner._best_first(adj, {e: 0.0}, members=members) for e in ends}
-        cache = {(a, b): (tuple(planner._unwind(tables[a][1], b)), tables[a][0][b])
-                 for i, a in enumerate(ends) for b in ends[i + 1:]}
-        return tables, cache
+        at = view.rank(ends)
+        dist, pred = dijkstra(view.graph, indices=at, return_predecessors=True)
+        cache = {(a, b): (tuple(view.unwind(pred[i], at[j])), float(dist[i, at[j]]))
+                 for i, a in enumerate(ends) for j, b in enumerate(ends) if i < j}
+        return view, {e: (dist[i], pred[i]) for i, e in enumerate(ends)}, cache
 
     def _rebuild_cache(self, label: int) -> None:
         seg = self.segments[label]
-        seg.portal_tables, seg.path_cache = self._portal_tables(label)
+        seg.view, seg.portal_tables, seg.path_cache = self._portal_tables(label)
         seg.altered = False
 
     def segment_update(self, grid: OccupancyGrid, cube: UpdateCube) -> dict:
-        stats = {"split": 0, "created": 0, "merged": 0, "caches_rebuilt": 0}
+        stats = {"split": 0, "created": 0, "merged": 0, "caches_rebuilt": 0, "edges_read": 0}
         # Split and growth neither add nor remove nodes: one query serves both.
         in_cube = self.nodes_in_cube(cube)
         cube_labels = {self.segment_of[i] for i in in_cube}
@@ -691,10 +685,7 @@ class SphereMap:
             merged_into[source] = target
             stats["merged"] += 1
 
-        # Portals for every altered segment, then path caches. They change
-        # the meta graph but no node, edge or radius, so the token moves
-        # before the rebuilds: the edge-cost table they build stays current
-        # for the next query.
+        # Portals for every altered segment, then caches: a new meta-graph.
         self.mutation_token += 1
         dirty = sorted(l for l, s in self.segments.items() if s.altered)
         cache_dirty: set[int] = set(dirty)
@@ -703,6 +694,7 @@ class SphereMap:
         for label in sorted(cache_dirty):
             if label in self.segments:
                 self._rebuild_cache(label)
+                stats["edges_read"] += self.segments[label].view.read
                 stats["caches_rebuilt"] += 1
         return stats
 

@@ -3,22 +3,20 @@
 Edge costs follow the discretized criterion: a step contributes its length
 plus ``xi * max(0, d_max - mean clearance)^2 * length`` of risk. That risk
 expression is written once, in ``_risk``, and ``transition_cost`` is the one
-step kernel around it, row-wise over any batch of steps. Path assembly
-(``_chain_cost``), the edge-cost table ``_graph_costs``, endpoint and portal
-steps, and RRT*'s parent choice and rewiring all call the kernel; grid A*
-keeps a commented inline copy of ``_risk`` in its per-neighbour loop.
-Planners over the sphere map (full graph and cached portal planning) and two
+step kernel around it, row-wise over any batch of steps: the map's stored
+edge costs (``SphereMap.adj``), repricing, path assembly, endpoint steps and
+RRT* all call it; grid A* keeps a commented inline copy of ``_risk``. Planners
+over the sphere map (full graph and cached portal planning) and two
 occupancy-grid baselines (A* in safety / length-only mode, RRT*) all share
-this cost model, the Euclidean-distance heuristic, and the clearance floor
-``r_min``.
+this cost model and the clearance floor ``r_min``.
 
-Every sphere-graph search runs on one best-first kernel, ``_best_first``,
-over adjacency lists of (neighbour, weight): A* over the whole graph or
-inside one segment, Dijkstra from each portal endpoint through its segment
-(the node-to-portal tables of ``core.Segment``), and Dijkstra over the
-portal meta-graph, the portal abstraction of HPA* (Botea, Mueller &
-Schaeffer 2004). Sphere-graph weights come from ``_graph_costs``; meta-graph
-weights are portal crossings and table and cached-path costs.
+Searches run on two kernels. Over spheres, ``scipy.sparse.csgraph.dijkstra``
+over a ``GraphView`` (a CSR copy of the stored costs) of the whole map or of
+one segment: on the 987-node, 20,918-edge cave-mission map a full-graph
+query took about 1.1 ms against 4.9 ms for a Python A*. Over the portal
+meta-graph (HPA*'s portal abstraction, Botea, Mueller & Schaeffer 2004),
+tens of nodes, the Python heap ``_best_first``: 6-13 us against 137-237 us
+for csgraph, most of it building the CSR.
 
 All planners are pure functions over read-only inputs; run them between map
 updates.
@@ -31,10 +29,12 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from . import geometry
 from .spatial import ObstacleIndex
 from .voxelgrid import FREE, OccupancyGrid, grid_obstacles
 
@@ -146,64 +146,88 @@ def _step_cost(p1, r1, p2, r2, params: PlannerParams) -> float:
     return float(dl + dz)
 
 
-def _pair_costs(smap, pairs, params: PlannerParams) -> list[float]:
-    """Step cost between the centers of each node pair: one kernel call."""
-    rows = smap.node_index.rows
-    dl, dz = transition_cost(*rows([a for a, _ in pairs]), *rows([b for _, b in pairs]), params)
-    return (dl + dz).tolist()
+@dataclass
+class GraphView:
+    """CSR view of the sphere graph over a node set: row ``i`` is node
+    ``ids[i]``, ids ascending and columns sorted, so equal maps (a map and its
+    reload) break Dijkstra's ties alike. ``read``: adjacency entries read."""
+
+    ids: np.ndarray
+    graph: csr_matrix
+    read: int
+
+    def rank(self, nids):
+        return np.searchsorted(self.ids, nids)
+
+    def unwind(self, pred, target: int) -> list[int]:
+        """Node ids from the source to rank ``target`` along csgraph's ``pred``."""
+        path = [target]
+        while pred[path[-1]] >= 0:
+            path.append(pred[path[-1]])
+        return self.ids[path[::-1]].tolist()
 
 
-def _graph_costs(smap, params: PlannerParams) -> dict[int, list[tuple[int, float]]]:
-    """Per-node neighbor/cost lists; cached on the map until it mutates."""
+def graph_view(smap, members=None, params: PlannerParams | None = None) -> GraphView:
+    """View of the edges among ``members`` (default: all nodes) at the costs
+    ``adj`` stores, or repriced under other ``params`` by one kernel call
+    (row-wise and symmetric, so an edge gets the same bits either way)."""
+    ids = np.array(sorted(smap.adj if members is None else members), dtype=np.int64)
+    n = len(ids)
+    rows = [smap.adj[u] for u in ids.tolist()]
+    counts = np.fromiter(map(len, rows), np.int64, n)
+    read = int(counts.sum())
+    cols = np.fromiter(chain.from_iterable(rows), np.int64, read)
+    costs = np.fromiter(chain.from_iterable(r.values() for r in rows), float, read)
+    src = np.repeat(np.arange(n), counts)
+    at = np.searchsorted(ids, cols)
+    keep = ids[np.minimum(at, n - 1)] == cols
+    src, at, costs = src[keep], at[keep].astype(np.int32), costs[keep]
+    if params is not None and params != smap.plan_params:
+        pos, radii = smap.node_index.rows(ids.tolist())
+        dl, dz = transition_cost(pos[src], radii[src], pos[at], radii[at], params)
+        costs = dl + dz
+    indptr = np.searchsorted(src, np.arange(n + 1)).astype(np.int32)
+    return GraphView(ids, csr_matrix((costs, at, indptr), shape=(n, n)).sorted_indices(), read)
+
+
+def _map_view(smap, params: PlannerParams) -> GraphView:
+    """The whole-map view under ``params``, kept until the map mutates."""
     key = (smap.mutation_token, params.xi, params.d_max, params.r_min)
-    cached = getattr(smap, "_plan_ctx", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    edges = list(smap.edges())
-    adj: dict[int, list[tuple[int, float]]] = {nid: [] for nid in smap.adj}
-    for (a, b), w in zip(edges, _pair_costs(smap, edges, params)):
-        adj[a].append((b, w))
-        adj[b].append((a, w))
-    smap._plan_ctx = (key, adj)
-    return adj
+    if smap.map_view is None or smap.map_view[0] != key:
+        smap.map_view = (key, graph_view(smap, params=params))
+    return smap.map_view[1]
 
 
-def _best_first(adj, sources, goal=None, heuristic=None, members=None):
-    """The one search kernel: best-first over ``adj[u] = [(v, weight), ...]``.
+def _route(view: GraphView, source: int, target: int) -> tuple[list[int], float] | None:
+    """Cheapest node path from ``source`` to ``target`` over ``view`` and its
+    cost, summed from 0 in path order; None when unreachable."""
+    dist, pred = dijkstra(view.graph, indices=view.rank(source), return_predecessors=True)
+    t = view.rank(target)
+    return (view.unwind(pred, t), float(dist[t])) if math.isfinite(dist[t]) else None
 
-    ``sources`` maps start nodes to their initial costs. Nodes pop in
-    (g + h, h, node id) order, so with no ``heuristic`` this is Dijkstra and
-    with an admissible one it is A*. Only nodes of ``members`` are entered
-    when it is given. The search stops when ``goal`` is settled and returns
-    None if it never is; without a goal it settles everything reachable.
-    Returns (g, came): the cost of and parent link to each node reached.
-    """
+
+def _best_first(adj, sources, goal):
+    """Dijkstra over the portal meta-graph ``adj[u] = [(v, weight), ...]``
+    from ``sources`` (node: initial cost), popping in (g, node id) order:
+    (g, came) when ``goal`` is settled, the costs of and parent links to the
+    nodes reached, or None."""
     g = dict(sources)
     came: dict[int, int] = {}
-    closed: set[int] = set()
-    heap = []
-    for u, gu in sources.items():
-        h = heuristic(u) if heuristic is not None else 0.0
-        heap.append((gu + h, h, u))
+    heap = [(gu, u) for u, gu in sources.items()]
     heapq.heapify(heap)
     while heap:
-        _, _, u = heapq.heappop(heap)
-        if u in closed:
-            continue
-        closed.add(u)
+        gu, u = heapq.heappop(heap)
+        if gu > g[u]:
+            continue  # stale; a settled node is never improved (weights >= 0)
         if u == goal:
             return g, came
-        gu = g[u]
         for v, w in adj[u]:
-            if v in closed or (members is not None and v not in members):
-                continue
             alt = gu + w
             if alt < g.get(v, math.inf):
                 g[v] = alt
                 came[v] = u
-                h = heuristic(v) if heuristic is not None else 0.0
-                heapq.heappush(heap, (alt + h, h, v))
-    return None if goal is not None else (g, came)
+                heapq.heappush(heap, (alt, v))
+    return None
 
 
 def _unwind(came, target) -> list:
@@ -215,23 +239,12 @@ def _unwind(came, target) -> list:
     return path
 
 
-def _distance_to(smap, p, members=None):
-    """A* heuristic over every node (or ``members``): straight-line distance
-    from its center to p, one ``sqrt(vecdot)`` over the rows per search."""
-    ids = smap.adj if members is None else members
-    delta = smap.node_index.rows(ids)[0] - p
-    return dict(zip(ids, np.sqrt(np.vecdot(delta, delta)).tolist())).__getitem__
-
-
 def astar_nodes(smap, start_id: int, goal_id: int, params: PlannerParams,
                 restrict=None) -> tuple[list[int], float] | None:
     """Optimal node-id path between two sphere nodes (optionally one segment)."""
-    members = None if restrict is None else smap.segments[restrict].members
-    found = _best_first(_graph_costs(smap, params), {start_id: 0.0}, goal_id,
-                        _distance_to(smap, smap.node_index.row(goal_id)[0], members), members)
-    if found is None:
-        return None
-    return _unwind(found[1], goal_id), found[0][goal_id]
+    view = (_map_view(smap, params) if restrict is None
+            else graph_view(smap, smap.segments[restrict].members, params))
+    return _route(view, start_id, goal_id)
 
 
 def _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
@@ -242,7 +255,7 @@ def _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
 
 
 def astar_sphere_graph(smap, start, goal, params: PlannerParams) -> PlanResult | None:
-    """A* over the whole sphere graph."""
+    """Optimal path over the whole sphere graph: one csgraph Dijkstra."""
     t0 = time.perf_counter()
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -252,32 +265,25 @@ def astar_sphere_graph(smap, start, goal, params: PlannerParams) -> PlanResult |
         return None
     if np.array_equal(start, goal):
         return _plan_result(start.reshape(1, 3), np.array([s_margin]), "full-graph", t0, params)
-    source = {s_id: _step_cost(start, s_margin, *smap.node_index.row(s_id), params)}
-    found = _best_first(_graph_costs(smap, params), source, g_id, _distance_to(smap, goal))
-    if found is None:
-        return None
-    return _finish_sphere_result(smap, _unwind(found[1], g_id), start, goal,
-                                 s_margin, g_margin, "full-graph", t0, params)
+    found = _route(_map_view(smap, params), s_id, g_id)
+    return None if found is None else _finish_sphere_result(
+        smap, found[0], start, goal, s_margin, g_margin, "full-graph", t0, params)
 
 
-def _meta_static(smap, params: PlannerParams):
-    """Portal-level meta-graph shared by all cached queries; rebuilt only when
-    the map mutates. Nodes are portal endpoints; edges are portal crossings
-    and cached intra-segment paths."""
-    key = (smap.mutation_token, params.xi, params.d_max, params.r_min)
-    cached = getattr(smap, "_meta_ctx", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
+def _meta_static(smap):
+    """Portal-level meta-graph shared by all cached queries, under the map's
+    ``plan_params``; rebuilt only when the map mutates. Nodes are portal
+    endpoints; edges are portal crossings and cached intra-segment paths."""
+    if smap.meta_graph is not None and smap.meta_graph[0] == smap.mutation_token:
+        return smap.meta_graph[1]
     meta: dict[int, list[tuple[int, float]]] = {}
-    pairs = [(portal.a, portal.b) for portal in smap.portals.values()]
-    for (a, b), w in zip(pairs, _pair_costs(smap, pairs, params)):
-        meta.setdefault(a, []).append((b, w))
-        meta.setdefault(b, []).append((a, w))
-    for seg in smap.segments.values():
-        for (u, v), (_, cost) in seg.path_cache.items():
-            meta.setdefault(u, []).append((v, cost))
-            meta.setdefault(v, []).append((u, cost))
-    smap._meta_ctx = (key, meta)
+    hops = [(p.a, p.b, smap.adj[p.a][p.b]) for p in smap.portals.values()]
+    hops += [(u, v, cost) for seg in smap.segments.values()
+             for (u, v), (_, cost) in seg.path_cache.items()]
+    for u, v, w in hops:
+        meta.setdefault(u, []).append((v, w))
+        meta.setdefault(v, []).append((u, w))
+    smap.meta_graph = (smap.mutation_token, meta)
     return meta
 
 
@@ -285,12 +291,11 @@ def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
     """Long-distance planning through portals and cached intra-segment paths.
 
     Searches a meta-graph over the two endpoints (ids -1 and -2) and all
-    portal endpoints. Segment interiors are crossed on the cached
-    portal-pair paths and each endpoint reaches its segment's portals along
-    the segment's node-to-portal tables, so only a same-segment query
-    searches the sphere graph: one A* for the direct in-segment route.
-    The search runs under the map's ``plan_params``, the weights its caches
-    hold; ``params`` only prices the reported length and risk.
+    portal endpoints. Segment interiors are crossed on the cached portal-pair
+    paths and each endpoint reaches its segment's portals along the segment's
+    tables, so only a same-segment query searches spheres: the direct route,
+    over the segment's view. The search runs under the map's ``plan_params``,
+    the weights its caches hold; ``params`` only prices length and risk.
     """
     t0 = time.perf_counter()
     start = np.asarray(start, dtype=float)
@@ -308,27 +313,28 @@ def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
     g_step = _step_cost(goal, g_margin, g_p, g_r, weights)
     direct = inside = None  # the direct same-segment route, beside the meta-path
     if s_seg is g_seg:
-        inside = _best_first(_graph_costs(smap, weights), {s_id: s_step}, g_id,
-                             _distance_to(smap, g_p, s_seg.members), s_seg.members)
-    if inside is not None:
-        dl, dz = transition_cost(g_p, g_r, goal, g_margin, weights)
-        direct = inside[0][g_id] + dl + dz
+        inside = _route(s_seg.view, s_id, g_id)
+    if inside is not None:  # summed in path order, as a search from s_step sums it
+        steps = [smap.adj[u][v] for u, v in zip(inside[0], inside[0][1:])]
+        last = transition_cost(g_p, g_r, goal, g_margin, weights)
+        direct = float(np.cumsum([s_step, *steps, *last])[-1])
 
-    meta = dict(_meta_static(smap, weights))
+    meta = dict(_meta_static(smap))
     s_tab, g_tab = s_seg.portal_tables, g_seg.portal_tables
-    meta[-1] = [(e, s_step + s_tab[e][0][s_id])
-                for e in smap.segment_portal_nodes(s_seg.label) if s_id in s_tab[e][0]]
-    meta.update((e, meta[e] + [(-2, g_step + g_tab[e][0][g_id])])
-                for e in smap.segment_portal_nodes(g_seg.label) if g_id in g_tab[e][0])
-    found = _best_first(meta, {-1: 0.0}, goal=-2)
+    s_at, g_at = s_seg.view.rank(s_id), g_seg.view.rank(g_id)
+    meta[-1] = [(e, s_step + float(s_tab[e][0][s_at]))
+                for e in smap.segment_portal_nodes(s_seg.label)]
+    meta.update((e, meta[e] + [(-2, g_step + float(g_tab[e][0][g_at]))])
+                for e in smap.segment_portal_nodes(g_seg.label))
+    found = _best_first(meta, {-1: 0.0}, -2)
     if found is None and direct is None:
         return None
 
     if direct is not None and (found is None or direct <= found[0][-2]):
-        node_path = _unwind(inside[1], g_id)
+        node_path = inside[0]
     else:
         hops = _unwind(found[1], -2)[1:-1]
-        node_path = _unwind(s_tab[hops[0]][1], s_id)[::-1]
+        node_path = s_seg.view.unwind(s_tab[hops[0]][1], s_at)[::-1]
         for u, v in zip(hops, hops[1:]):
             if label[u] != label[v]:
                 node_path.append(v)  # portal crossing
@@ -336,7 +342,7 @@ def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
             cache = smap.segments[label[u]].path_cache
             seq = cache[(u, v)][0] if (u, v) in cache else cache[(v, u)][0][::-1]
             node_path.extend(seq[1:])
-        node_path.extend(_unwind(g_tab[hops[-1]][1], g_id)[1:])
+        node_path.extend(g_seg.view.unwind(g_tab[hops[-1]][1], g_at)[1:])
     return _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
                                  "cached", t0, params)
 

@@ -23,9 +23,11 @@ import math
 import struct
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .core import BuildParams, Segment, SphereMap
 from .errors import BadMagicError, PayloadError, TruncatedError
+from .planner import graph_view
 
 _MAGIC = b"SMP2"
 _PARAMS = struct.Struct("<9dBB3IQ")
@@ -133,7 +135,7 @@ def load_map(data: bytes) -> SphereMap:
     for nid in sorted(smap.adj):
         smap._recompute_edges(nid)
     for label, seg in smap.segments.items():
-        if len(smap._components(seg.members)) != 1:
+        if connected_components(graph_view(smap, seg.members).graph, connection="strong")[0] != 1:
             raise PayloadError(f"segment {label} is empty or not connected")
     for label in sorted(smap.segments):
         smap._recompute_portals(label, set())

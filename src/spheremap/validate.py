@@ -11,14 +11,17 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from . import geometry
+from .planner import graph_view, transition_cost
 from .spatial import ObstacleIndex
 from .voxelgrid import OccupancyGrid, grid_obstacles
 
 
 def check_structure(smap) -> list[str]:
-    """Edge rule, segment partition/connectivity, portals, caches, redundancy."""
+    """Edge rule and costs, segment partition/connectivity, portals, caches,
+    redundancy."""
     problems: list[str] = []
     r_min = smap.params.r_min
     label_of = smap.segment_of
@@ -27,8 +30,13 @@ def check_structure(smap) -> list[str]:
         if a in nbrs:
             problems.append(f"self edge at node {a}")
         for b in nbrs:
-            if a not in smap.adj.get(b, set()):
+            if a not in smap.adj.get(b, {}):
                 problems.append(f"asymmetric edge ({a}, {b})")
+            elif a < b and smap.adj[b][a] != nbrs[b]:
+                problems.append(f"edge ({a}, {b}) costs differ by direction")
+    links = sum(len(nbrs) for nbrs in smap.adj.values())
+    if 2 * smap.edge_count() != links:
+        problems.append(f"edge count {smap.edge_count()} disagrees with {links} adjacency entries")
 
     for nid, r in zip(smap.adj, smap.node_index.rows(smap.adj)[1].tolist()):
         if r < r_min:
@@ -38,6 +46,10 @@ def check_structure(smap) -> list[str]:
     for (a, b), pa, ra, pb, rb in _edge_rows(smap, edges):
         if not geometry.intersection_radius(pa, ra, pb, rb) > r_min:
             problems.append(f"edge ({a}, {b}) violates the intersection rule")
+    dl, dz = transition_cost(*smap.node_index.rows([a for a, _ in edges]),
+                             *smap.node_index.rows([b for _, b in edges]), smap.plan_params)
+    problems += [f"edge ({a}, {b}) cost differs from recomputation"
+                 for (a, b), w in zip(edges, (dl + dz).tolist()) if smap.adj[a][b] != w]
 
     cube = smap.last_cube
     if cube is not None:
@@ -63,16 +75,8 @@ def check_structure(smap) -> list[str]:
             elif label_of[nid] != label:
                 problems.append(f"node {nid} label disagrees with segment {label}")
             assigned.add(nid)
-        seed = min(seg.members)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            cur = stack.pop()
-            for nb in smap.adj.get(cur, ()):
-                if nb in seg.members and nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        if comp != seg.members:
+        if connected_components(graph_view(smap, seg.members & smap.adj.keys()).graph,
+                                connection="strong")[0] > 1:
             problems.append(f"segment {label} member subgraph is disconnected")
     for nid, label in label_of.items():
         if label is None:
@@ -101,7 +105,7 @@ def check_structure(smap) -> list[str]:
             continue
         if label_of[portal.a] != pair[0] or label_of[portal.b] != pair[1]:
             problems.append(f"portal {pair} endpoints in wrong segments")
-        if portal.b not in smap.adj.get(portal.a, set()):
+        if portal.b not in smap.adj.get(portal.a, {}):
             problems.append(f"portal {pair} endpoints are not connected")
         ir = geometry.intersection_radius(*smap.node_index.row(portal.a),
                                           *smap.node_index.row(portal.b))
@@ -111,16 +115,23 @@ def check_structure(smap) -> list[str]:
         if pair not in smap.portals:
             problems.append(f"adjacent segments {pair} lack a portal")
 
-    # Caches: one node-to-portal table per live portal endpoint, tables and
-    # portal-pair paths bit-equal to a fresh run of the kernel that built them.
+    # Caches: a view of the segment's edges, one node-to-portal table per
+    # live portal endpoint, and tables and portal-pair paths bit-equal to a
+    # fresh run of the kernel that built them.
     for label, seg in smap.segments.items():
         if seg.altered:
             problems.append(f"segment {label} left altered after iteration")
         if sorted(seg.portal_tables) != smap.segment_portal_nodes(label):
             problems.append(f"segment {label} table keys mismatch its portal nodes")
-        tables, cache = smap._portal_tables(label)
-        problems += [f"table {label}:{e} differs from recomputation"
-                     for e in sorted(tables) if seg.portal_tables.get(e) != tables[e]]
+        if not seg.members <= smap.adj.keys():
+            continue  # dead members, reported above
+        view, tables, cache = smap._portal_tables(label)
+        if seg.view is None or not _same_arrays(
+                (seg.view.ids, seg.view.graph.indptr, seg.view.graph.indices, seg.view.graph.data),
+                (view.ids, view.graph.indptr, view.graph.indices, view.graph.data)):
+            problems.append(f"view {label} differs from recomputation")
+        problems += [f"table {label}:{e} differs from recomputation" for e in sorted(tables)
+                     if not _same_arrays(seg.portal_tables.get(e, ()), tables[e])]
         problems += [f"cache {label}:{key} differs from recomputation"
                      for key in sorted(set(seg.path_cache) | set(cache))
                      if seg.path_cache.get(key) != cache.get(key)]
@@ -131,6 +142,10 @@ def check_structure(smap) -> list[str]:
         problems += [f"node {nid} inside update cube is redundant"
                      for nid, wit in zip(ids, coverers) if wit >= 0]
     return problems
+
+
+def _same_arrays(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
 
 
 def _edge_rows(smap, pairs):

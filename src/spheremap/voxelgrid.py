@@ -171,7 +171,10 @@ def frontier_points(grid: OccupancyGrid, cube: UpdateCube, connectivity: int = 6
     """Centroids of free voxels bordering unknown space inside the cube.
 
     A voxel neighbor that falls outside the stored volume counts as unknown.
-    ``connectivity`` is 6 (faces) or 26 (faces + edges + corners).
+    ``connectivity`` is 6 (faces) or 26 (faces + edges + corners). When the
+    grid holds no unknown voxel around the cube, only the cube's faces on the
+    grid border can touch unknown space, at either connectivity, so only
+    they are evaluated.
     """
     if connectivity not in (6, 26):
         raise ValueError("connectivity must be 6 or 26")
@@ -187,6 +190,15 @@ def frontier_points(grid: OccupancyGrid, cube: UpdateCube, connectivity: int = 6
     slab = grid.states[a[0]:b[0], a[1]:b[1], a[2]:b[2]]
     pads = tuple((1 - (lo - alo), 1 - (bhi - hi))
                  for lo, hi, alo, bhi in zip((i0, j0, k0), (i1, j1, k1), a, b))
+    if not (slab == UNKNOWN).any():
+        core = grid.states[i0:i1, j0:j1, k0:k1]
+        border = np.zeros(core.shape, dtype=bool)
+        for axis, pad in enumerate(pads):
+            for side, face in zip(pad, (0, -1)):
+                if side:
+                    at = (slice(None),) * axis + (face,)
+                    border[at] = core[at] == FREE
+        return _centroids(grid, border, (i0, j0, k0))
     slab = np.pad(slab, pads, constant_values=UNKNOWN)
 
     core = slab[1:-1, 1:-1, 1:-1]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from spheremap import FREE, OCCUPIED, BuildParams, OccupancyGrid, SphereMap
+from spheremap.core import Segment
 
 # Property tests draw the same bounded set of examples on every run and keep
 # no example database, so the suite stays reproducible. With 1000 examples
@@ -75,6 +76,22 @@ def segmented_two_rooms(r_exp=2.0, seed=None):
     for t in np.linspace(0, 1, 9):
         smap.update_iteration(grid, c1 + t * (c2 - c1))
     return grid, smap, c1, c2
+
+
+def segment_like_an_update(smap):
+    """Segments grown over every node in the order an update seeds them,
+    then portals and caches."""
+    for nid in sorted(smap.adj, key=lambda i: (-smap.node_index.row(i)[1], i)):
+        if smap.segment_of[nid] is None:
+            label = smap._new_label()
+            smap.segments[label] = Segment(label, {nid}, *smap.node_index.row(nid))
+            smap.segment_of[nid] = label
+            smap._grow_segment(label)
+    for label in sorted(smap.segments):
+        smap._recompute_portals(label, set())
+    for label in sorted(smap.segments):
+        smap._rebuild_cache(label)
+    return smap
 
 
 def wall_gap_room(resolution=0.2):

@@ -2,9 +2,12 @@
 
 Deliberately simple and separate from the package internals: uniform-cost
 search with its own cost arithmetic, a random sphere-map generator, and
-brute-force coverage and redundancy oracles. One exception:
-``plan_cached_two_dijkstra`` keeps an earlier cached planner, built on the
-planner's own kernels, as the reference its table-driven successor must match.
+brute-force coverage and redundancy oracles. Two exceptions:
+``graph_costs`` and ``best_first`` keep the planner's earlier dict-of-lists
+edge-cost table and Python heap search, the reference its csgraph views must
+match bit for bit, and ``plan_cached_two_dijkstra`` keeps an earlier cached
+planner, built on them, as the reference its table-driven successor must
+match.
 """
 
 import heapq
@@ -13,11 +16,10 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from spheremap import FREE, OCCUPIED, BuildParams, SphereMap, UpdateCube
+from spheremap import FREE, OCCUPIED, UNKNOWN, BuildParams, SphereMap, UpdateCube
 from spheremap.geometry import covered_fractions
-from spheremap.planner import (_attach, _best_first, _finish_sphere_result, _graph_costs,
-                               _meta_static, _plan_result, _step_cost, _unwind,
-                               transition_cost)
+from spheremap.planner import (_attach, _finish_sphere_result, _meta_static, _plan_result,
+                               _step_cost, _unwind, transition_cost)
 from spheremap.voxelgrid import frontier_points, obstacle_points
 
 
@@ -217,6 +219,33 @@ def ucs_node_cost(smap, a, b, params):
     return None
 
 
+def frontier_points_all_shifts(grid, cube, connectivity=6):
+    """``voxelgrid.frontier_points`` as it was before it skipped known
+    grids: every shifted neighbour of the padded cube is compared with
+    UNKNOWN, whatever the grid holds."""
+    rng = cube.voxel_range(grid)
+    if rng is None:
+        return np.empty((0, 3), dtype=float)
+    (i0, j0, k0), (i1, j1, k1) = rng
+    nx, ny, nz = grid.states.shape
+    a = (max(i0 - 1, 0), max(j0 - 1, 0), max(k0 - 1, 0))
+    b = (min(i1 + 1, nx), min(j1 + 1, ny), min(k1 + 1, nz))
+    pads = tuple((1 - (lo - alo), 1 - (bhi - hi))
+                 for lo, hi, alo, bhi in zip((i0, j0, k0), (i1, j1, k1), a, b))
+    slab = np.pad(grid.states[a[0]:b[0], a[1]:b[1], a[2]:b[2]], pads, constant_values=UNKNOWN)
+    core = slab[1:-1, 1:-1, 1:-1]
+    offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+               if (dx, dy, dz) != (0, 0, 0) and (connectivity == 26 or abs(dx) + abs(dy) + abs(dz) == 1)]
+    near_unknown = np.zeros(core.shape, dtype=bool)
+    for dx, dy, dz in offsets:
+        near_unknown |= slab[1 + dx:slab.shape[0] - 1 + dx, 1 + dy:slab.shape[1] - 1 + dy,
+                             1 + dz:slab.shape[2] - 1 + dz] == UNKNOWN
+    idx = np.argwhere((core == FREE) & near_unknown)
+    if idx.size == 0:
+        return np.empty((0, 3), dtype=float)
+    return grid.origin + grid.resolution * (idx + np.array([i0, j0, k0]) + 0.5)
+
+
 def greedy_goal_clusters(points, radius):
     """Greedy goal clustering by all-pairs distances: points in order of
     decreasing neighbour count (ties by index) claim every unclaimed point
@@ -279,6 +308,61 @@ def reveal_per_ray(working, world, pos, directions, step, n_steps):
                 break
 
 
+def graph_costs(smap, params):
+    """Per-node neighbour/cost lists of the whole map, priced pair by pair
+    from the node rows: one kernel call over the edges as ``edges()`` lists
+    them (lower id first)."""
+    edges = list(smap.edges())
+    rows = smap.node_index.rows
+    dl, dz = transition_cost(*rows([a for a, _ in edges]), *rows([b for _, b in edges]), params)
+    adj = {nid: [] for nid in smap.adj}
+    for (a, b), w in zip(edges, (dl + dz).tolist()):
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    return adj
+
+
+def distance_to(smap, p, members=None):
+    """Straight-line distance from each node (or each of ``members``) to p."""
+    ids = list(smap.adj if members is None else members)
+    delta = smap.node_index.rows(ids)[0] - p
+    return dict(zip(ids, np.sqrt(np.vecdot(delta, delta)).tolist())).__getitem__
+
+
+def best_first(adj, sources, goal=None, heuristic=None, members=None):
+    """Best-first search over ``adj[u] = [(v, weight), ...]``: nodes pop in
+    (g + h, h, node id) order, so with no ``heuristic`` this is Dijkstra and
+    with an admissible one A*. Only nodes of ``members`` are entered when it
+    is given. Stops when ``goal`` is settled (None if it never is); without
+    a goal it settles everything reachable. Returns (g, came)."""
+    g = dict(sources)
+    came = {}
+    closed = set()
+    heap = []
+    for u, gu in sources.items():
+        h = heuristic(u) if heuristic is not None else 0.0
+        heap.append((gu + h, h, u))
+    heapq.heapify(heap)
+    while heap:
+        _, _, u = heapq.heappop(heap)
+        if u in closed:
+            continue
+        closed.add(u)
+        if u == goal:
+            return g, came
+        gu = g[u]
+        for v, w in adj[u]:
+            if v in closed or (members is not None and v not in members):
+                continue
+            alt = gu + w
+            if alt < g.get(v, math.inf):
+                g[v] = alt
+                came[v] = u
+                h = heuristic(v) if heuristic is not None else 0.0
+                heapq.heappush(heap, (alt + h, h, v))
+    return None if goal is not None else (g, came)
+
+
 def plan_cached_two_dijkstra(smap, start, goal, params):
     """The cached planner before node-to-portal tables: a Dijkstra from each
     endpoint over its whole segment gives the legs to the portals, and the
@@ -294,21 +378,21 @@ def plan_cached_two_dijkstra(smap, start, goal, params):
     label = smap.segment_of
     s_label, g_label = label[s_id], label[g_id]
     (s_p, s_r), (g_p, g_r) = smap.node_index.row(s_id), smap.node_index.row(g_id)
-    adj = _graph_costs(smap, params)
-    s_dist, s_came = _best_first(adj, {s_id: _step_cost(start, s_margin, s_p, s_r, params)},
+    adj = graph_costs(smap, params)
+    s_dist, s_came = best_first(adj, {s_id: _step_cost(start, s_margin, s_p, s_r, params)},
                                  members=smap.segments[s_label].members)
-    g_dist, g_came = _best_first(adj, {g_id: _step_cost(goal, g_margin, g_p, g_r, params)},
+    g_dist, g_came = best_first(adj, {g_id: _step_cost(goal, g_margin, g_p, g_r, params)},
                                  members=smap.segments[g_label].members)
     direct = None
     if s_label == g_label and g_id in s_dist:
         dl, dz = transition_cost(g_p, g_r, goal, g_margin, params)
         direct = s_dist[g_id] + dl + dz
-    meta = dict(_meta_static(smap, params))
+    meta = dict(_meta_static(smap))
     meta[-1] = [(e, s_dist[e]) for e in smap.segment_portal_nodes(s_label) if e in s_dist]
     for e in smap.segment_portal_nodes(g_label):
         if e in g_dist:
             meta[e] = meta[e] + [(-2, g_dist[e])]
-    found = _best_first(meta, {-1: 0.0}, goal=-2)
+    found = best_first(meta, {-1: 0.0}, goal=-2)
     if found is None and direct is None:
         return None
     if direct is not None and (found is None or direct <= found[0][-2]):

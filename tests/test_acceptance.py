@@ -5,6 +5,7 @@ PASS/FAIL lines. The desk-scale speed-ordering criterion builds a ~144 m maze
 and runs grid A* baselines on a 0.4 m grid; expect a few minutes.
 """
 
+import copy
 import struct
 import time
 
@@ -19,10 +20,9 @@ from spheremap import (FREE, BuildParams, ClearanceField, MissionTrace,
                        run_mission, save_grid, save_map, two_route_world)
 from spheremap.bench import (mission_trace_through, pick_start, sample_goal_nodes,
                              scenario_multi_goal, scenario_single_goal)
-from spheremap.core import Segment
 from spheremap.ltv import encode, decode, encoded_size, extract, size_report
 
-from conftest import box_room
+from conftest import box_room, segment_like_an_update
 from oracles import covered_mask, free_centroids, random_sphere_map, ucs_optimal
 from test_ltv import random_ltv
 
@@ -250,23 +250,30 @@ def test_criterion_8_structural_invariants(cave_mission):
                   + (f"; first failures {problems[:2]}" if problems else ""))
 
 
-def test_criterion_7_update_locality(cave_mission):
-    res = 0.2
-    local_spec = sm.WorldSpec(kind="corridor-maze", extent=(36.0, 36.0, 4.4),
-                              seed=11, corridor_width_range=(2.2, 3.4))
-    local = generate_world(local_spec)
-    big_spec = sm.WorldSpec(kind="corridor-maze", extent=(72.0, 72.0, 4.4),
-                            seed=12, corridor_width_range=(2.2, 3.4))
-    big = generate_world(big_spec)
+LOCALITY_BUILD = BuildParams(cube_side=16.0, per_voxel_samples=False, ray_count=400,
+                             samples_per_ray=10, kappa=0.6, r_exp=6.0, r_merge=20.0)
+
+
+@pytest.fixture(scope="module")
+def locality_maps():
+    """The criterion-7 36 m maze alone and embedded in a 72 m maze, each
+    swept once: [(world, map)] for 1x and 4x map size. Tests update copies."""
+    local = generate_world(sm.WorldSpec(kind="corridor-maze", extent=(36.0, 36.0, 4.4),
+                                        seed=11, corridor_width_range=(2.2, 3.4)))
+    big = generate_world(sm.WorldSpec(kind="corridor-maze", extent=(72.0, 72.0, 4.4),
+                                      seed=12, corridor_width_range=(2.2, 3.4)))
     # identical local scene embedded in a 4x larger map
     big.states[:local.states.shape[0], :local.states.shape[1], :local.states.shape[2]] = \
         local.states
-    params = BuildParams(cube_side=16.0, per_voxel_samples=False, ray_count=400,
-                         samples_per_ray=10, kappa=0.6, r_exp=6.0, r_merge=20.0)
+    return [(world, build_spheremap(world, LOCALITY_BUILD, seed=0, spacing=8.0, passes=2)[0])
+            for world in (local, big)]
+
+
+def test_criterion_7_update_locality(cave_mission, locality_maps):
     uav = np.array([18.0, 18.0, 2.2])
 
-    def measure(world):
-        smap, _ = build_spheremap(world, params, seed=0, spacing=8.0, passes=2)
+    def measure(world, built):
+        smap = copy.deepcopy(built)
         smap.update_iteration(world, uav)  # warmup at the probe location
         times = []
         for _ in range(5):
@@ -274,8 +281,7 @@ def test_criterion_7_update_locality(cave_mission):
             times.append(rep.total_time)
         return smap, float(np.median(times))
 
-    smap_local, t_local = measure(local)
-    smap_big, t_big = measure(big)
+    (smap_local, t_local), (smap_big, t_big) = (measure(*case) for case in locality_maps)
     ratio = t_big / t_local
     soft_ms = 1e3 * float(np.mean([r.total_time
                                    for r in cave_mission["result"].reports]))
@@ -284,6 +290,19 @@ def test_criterion_7_update_locality(cave_mission):
            f"is quadrupled outside the cube (ratio {ratio:.2f} <= 1.5; nodes "
            f"{smap_local.node_count()} -> {smap_big.node_count()}); soft reference: "
            f"cave-mission mean iteration {soft_ms:.0f} ms vs paper ~150 ms")
+
+
+def test_moving_updates_read_only_local_edges(locality_maps):
+    # Two lines of updates across the 36 m scene: the cache rebuilds read
+    # the edges of the segments they rebuild, not the whole map, so the
+    # count at 4x map size stays near the count at 1x.
+    line = [np.array([x, y, 2.2]) for y in (12.0, 24.0) for x in np.arange(2.0, 35.0, 4.0)]
+    reads = []
+    for world, built in locality_maps:
+        smap = copy.deepcopy(built)
+        reads.append(sum(smap.update_iteration(world, p).counters["segment.edges_read"]
+                         for p in line))
+    assert reads[0] > 0 and reads[1] <= 1.25 * reads[0], reads
 
 
 def test_criterion_9_compression_ordering(cave_mission):
@@ -307,17 +326,7 @@ def _fuzz_smap(seed: int) -> SphereMap:
         smap._add_node(rng.uniform(-40, 40, 3), float(rng.uniform(0.9, 7.5)))
     for nid in sorted(smap.adj):
         smap._recompute_edges(nid)
-    for nid in sorted(smap.adj, key=lambda i: (-smap.node_index.row(i)[1], i)):
-        if smap.segment_of[nid] is None:
-            label = smap._new_label()
-            smap.segments[label] = Segment(label, {nid}, *smap.node_index.row(nid))
-            smap.segment_of[nid] = label
-            smap._grow_segment(label)
-    for label in sorted(smap.segments):
-        smap._recompute_portals(label, set())
-    for label in sorted(smap.segments):
-        smap._rebuild_cache(label)
-    return smap
+    return segment_like_an_update(smap)
 
 
 def test_criterion_10_format_round_trips():

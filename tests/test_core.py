@@ -187,7 +187,7 @@ class TestCoverageRule:
         smap, _ = random_map(seed)
         for nid in sorted(smap.adj):
             ids, pos, radii = smap._recompute_edges(nid)
-            assert set(ids.tolist()) == smap.adj[nid]
+            assert set(ids.tolist()) == set(smap.adj[nid])
             assert len(ids) == len(smap.adj[nid])
             assert pos.tolist() == [smap.node_index.row(int(i))[0].tolist() for i in ids]
             assert radii.tolist() == [smap.node_index.row(int(i))[1] for i in ids]
@@ -458,6 +458,9 @@ class TestSegmentation:
         smap = make_map(cube_side=16.0, r_exp=3.0, r_merge=8.0)
         for t in np.linspace(0, 1, 5):
             smap.update_iteration(grid, c1 + t * (c2 - c1))
-        built = smap._plan_ctx[1]
+        # A cached query reads the segment views the update built and never
+        # builds the whole-map view.
+        built = {label: seg.view for label, seg in smap.segments.items()}
         assert plan_cached(smap, c1, c2, smap.plan_params) is not None
-        assert smap._plan_ctx[1] is built
+        assert all(seg.view is built[label] for label, seg in smap.segments.items())
+        assert smap.map_view is None

@@ -4,17 +4,19 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from spheremap import (FREE, OCCUPIED, BuildParams, ClearanceField, ObstacleIndex, PlannerParams, Portal,
-                       Segment, SphereMap, astar_nodes, astar_sphere_graph,
+                       Segment, SphereMap, astar_nodes, astar_sphere_graph, check_structure,
                        downsample, evaluate_path, grid_astar, load_map, plan_cached, rrt_star,
                        save_map, transition_cost)
-from spheremap.planner import _attach, _chain_cost
+from spheremap.planner import _attach, _chain_cost, graph_view
 from spheremap.voxelgrid import grid_obstacles
 
-from conftest import box_room, segmented_two_rooms, two_rooms_with_corridor, wall_gap_room
-from oracles import (_attach_oracle, plan_cached_two_dijkstra, random_sphere_map, ucs_node_cost,
-                     ucs_optimal)
+from conftest import (box_room, segment_like_an_update, segmented_two_rooms, two_rooms_with_corridor,
+                      wall_gap_room)
+from oracles import (_attach_oracle, best_first, distance_to, graph_costs, plan_cached_two_dijkstra,
+                     random_sphere_map, ucs_node_cost, ucs_optimal)
 
 PARAMS = PlannerParams(xi=7.0, d_max=2.0, r_min=0.8)
 
@@ -363,8 +365,8 @@ class TestPlanCached:
     def test_topological_disconnection(self):
         smap = self.make_two_segment_map()
         del smap.portals[(0, 1)]
-        smap.adj[1].discard(2)
-        smap.adj[2].discard(1)
+        del smap.adj[1][2]
+        del smap.adj[2][1]
         res = plan_cached(smap, np.array([0.0, 0, 0]), np.array([6.0, 0, 0]), PARAMS)
         assert res is None
 
@@ -382,6 +384,13 @@ def same_plans(a, b):
         return a is None and b is None
     return (np.array_equal(a.waypoints, b.waypoints) and np.array_equal(a.clearances, b.clearances)
             and (a.length, a.risk) == (b.length, b.risk))
+
+
+def same_tables(a, b):
+    """Two segments hold the same view ids and the same portal tables."""
+    return (np.array_equal(a.view.ids, b.view.ids) and a.portal_tables.keys() == b.portal_tables.keys()
+            and all(np.array_equal(x, y) for e in a.portal_tables
+                    for x, y in zip(a.portal_tables[e], b.portal_tables[e])))
 
 
 @pytest.fixture(scope="module", params=[0, 1, 2])
@@ -437,12 +446,113 @@ class TestPortalTables:
         for p in (c1, c1 + np.array([1.0, 1.0, 0.0]), 0.5 * (c1 + c2)):
             smap.update_iteration(grid, p)
         loaded = load_map(save_map(smap))
-        assert all(loaded.segments[label].portal_tables == seg.portal_tables
+        assert all(same_tables(loaded.segments[label], seg)
                    and loaded.segments[label].path_cache == seg.path_cache
                    for label, seg in smap.segments.items())
         for a, b in itertools.combinations(query_points(smap), 2):
             assert same_plans(plan_cached(smap, a, b, smap.plan_params),
                               plan_cached(loaded, a, b, smap.plan_params))
+
+
+def lattice_map(shape=(6, 5, 2)):
+    """Unit spheres on a 1 m lattice. Each links its face neighbours
+    (intersection radius 0.866 > r_min) but no diagonal one (0.707), and
+    every edge costs exactly 1 + 7 * (2 - 1)^2 = 8, so equal-cost paths
+    abound and every path sum is exact."""
+    smap = SphereMap(BuildParams(r_exp=2.5, r_merge=5.0))
+    for p in itertools.product(*map(range, shape)):
+        smap._add_node(np.array(p, dtype=float), 1.0)
+    for nid in sorted(smap.adj):
+        smap._recompute_edges(nid)
+    return segment_like_an_update(smap)
+
+
+@pytest.fixture(params=["random-0", "random-1", "random-2", "random-3", "lattice"])
+def kernel_map(request):
+    if request.param == "lattice":
+        return lattice_map()
+    return segment_like_an_update(random_sphere_map(int(request.param[-1]), max_nodes=60)[0])
+
+
+class TestSphereGraphKernel:
+    """csgraph over the map's views against the dict-of-lists cost table
+    and the heap search they replaced (``oracles.graph_costs``,
+    ``oracles.best_first``): every distance bit for bit."""
+
+    def test_lattice_edges_cost_exactly_eight(self):
+        smap = lattice_map()
+        assert {w for nbrs in smap.adj.values() for w in nbrs.values()} == {8.0}
+        assert sum(len(smap.segment_portal_nodes(label)) > 1 for label in smap.segments) > 3
+
+    @pytest.mark.parametrize("params", [PARAMS, PlannerParams(xi=0.0), PlannerParams(d_max=3.0)])
+    def test_full_graph_distances(self, kernel_map, params):
+        smap = kernel_map
+        adj = graph_costs(smap, params)
+        ids = sorted(smap.adj)
+        for a, b in itertools.product(ids[::5], ids[::3]):
+            found = astar_nodes(smap, a, b, params)
+            old = best_first(adj, {a: 0.0}, b, distance_to(smap, smap.node_index.row(b)[0]))
+            assert (found is None) == (old is None)
+            if found is not None:
+                assert found[1] == old[0][b]
+
+    def test_in_segment_distances(self, kernel_map):
+        smap = kernel_map
+        adj = graph_costs(smap, PARAMS)
+        for label, seg in smap.segments.items():
+            members = sorted(seg.members)
+            for a, b in itertools.product(members[::2], members[::3]):
+                found = astar_nodes(smap, a, b, PARAMS, restrict=label)
+                old = best_first(adj, {a: 0.0}, b,
+                                 distance_to(smap, smap.node_index.row(b)[0], seg.members),
+                                 seg.members)
+                assert found[1] == old[0][b]
+
+    def test_table_distances(self, kernel_map):
+        smap = kernel_map
+        adj = graph_costs(smap, smap.plan_params)
+        tables = 0
+        for seg in smap.segments.values():
+            for e, (dist, _) in seg.portal_tables.items():
+                g, _ = best_first(adj, {e: 0.0}, members=seg.members)
+                assert dist.tolist() == [g[m] for m in seg.view.ids.tolist()]
+                tables += 1
+        assert tables > 0
+
+    def test_lattice_reload_keeps_tables_and_paths(self):
+        smap = lattice_map()
+        loaded = load_map(save_map(smap))
+        for label, seg in smap.segments.items():
+            assert same_tables(loaded.segments[label], seg)
+            assert loaded.segments[label].path_cache == seg.path_cache
+
+    def test_zero_length_edge_stays_an_edge(self):
+        smap = SphereMap(BuildParams(r_exp=1.2, r_merge=2.4))
+        a, b, c, d = (smap._add_node(np.array(p, dtype=float), 1.0)
+                      for p in ((0, 0, 0), (0, 0, 0), (1, 0, 0), (2, 0, 0)))
+        for nid in (a, b, c, d):
+            smap._recompute_edges(nid)
+        assert smap.adj[a][b] == 0.0 and smap.edge_count() == 4
+        segment_like_an_update(smap)
+        assert check_structure(smap) == []
+        # Unit spheres and r_exp = 1.2 give segments {a, b}, {c} and {d}.
+        seg = smap.segments[smap.segment_of[a]]
+        assert seg.members == {a, b} and len(smap.segments) == 3
+        assert smap.segment_portal_nodes(seg.label) == [a]
+        assert seg.portal_tables[a][0].tolist() == [0.0, 0.0]
+        for restrict in (None, seg.label):
+            assert astar_nodes(smap, b, a, PARAMS, restrict) == ([b, a], 0.0)
+        assert astar_nodes(smap, b, d, PARAMS)[1] == 2 * smap.adj[c][d]
+        view = graph_view(smap, {a, b})
+        assert view.graph.nnz == 2 and connected_components(view.graph)[0] == 1
+        for label, seg in smap.segments.items():
+            inside = sum(nb in seg.members for m in seg.members for nb in smap.adj[m])
+            assert seg.view.graph.nnz == inside
+            for dist, _ in seg.portal_tables.values():
+                assert np.isfinite(dist).all()
+        res = plan_cached(smap, np.zeros(3), np.array([2.0, 0.0, 0.0]), PARAMS)
+        full = astar_sphere_graph(smap, np.zeros(3), np.array([2.0, 0.0, 0.0]), PARAMS)
+        assert res.cost == full.cost
 
 
 def corridor_grid(n=12, width=5, resolution=1.0):

@@ -39,7 +39,8 @@ class TestCheckStructure:
         seg = smap.segments[label]
         (a, b), (path, cost) = min(seg.path_cache.items())
         if tamper == "table cost":
-            seg.portal_tables[a][0][b] = np.nextafter(seg.portal_tables[a][0][b], np.inf)
+            dist = seg.portal_tables[a][0]
+            dist[seg.view.rank(b)] = np.nextafter(dist[seg.view.rank(b)], np.inf)
             expected = f"table {label}:{a} differs from recomputation"
         elif tamper == "cached path":
             seg.path_cache[(a, b)] = (path[:1] + path[-1:], cost)
@@ -48,3 +49,23 @@ class TestCheckStructure:
             del seg.portal_tables[b]
             expected = f"segment {label} table keys mismatch its portal nodes"
         assert expected in check_structure(smap)
+
+    @pytest.mark.parametrize("sides", ["both", "one"])
+    def test_reports_a_stored_cost_one_ulp_off(self, sides):
+        _, smap, _, _ = segmented_two_rooms(2.0, seed=1)
+        a, b = min(smap.edges())
+        moved = np.nextafter(smap.adj[a][b], np.inf)
+        smap.adj[a][b] = moved
+        if sides == "both":
+            smap.adj[b][a] = moved
+        problems = check_structure(smap)
+        assert f"edge ({a}, {b}) cost differs from recomputation" in problems
+        assert (f"edge ({a}, {b}) costs differ by direction" in problems) == (sides == "one")
+
+    def test_reports_an_edge_count_off_the_adjacency(self):
+        _, smap, _, _ = segmented_two_rooms(2.0, seed=1)
+        links = sum(len(nbrs) for nbrs in smap.adj.values())
+        assert 2 * smap.edge_count() == links
+        smap._edge_count += 1
+        assert (f"edge count {smap.edge_count()} disagrees with {links} adjacency entries"
+                in check_structure(smap))

@@ -13,6 +13,7 @@ from spheremap import (FREE, OCCUPIED, OUT_OF_BOUNDS, UNKNOWN, BadMagicError,
                        raycast_free, save_grid, surface_points)
 
 from conftest import two_rooms_with_corridor
+from oracles import frontier_points_all_shifts
 
 
 def make_grid(dims, state=FREE, resolution=1.0, origin=(0, 0, 0)):
@@ -230,6 +231,22 @@ class TestFrontierPoints:
         all_frontiers = brute_force_frontiers(grid)
         expected = {p for p in all_frontiers if all(0.0 <= v <= 2.0 for v in p)}
         assert got == expected
+
+    @given(st.data())
+    def test_matches_the_all_shifts_scan(self, data):
+        # Known grids take the border-only path; a grid with any unknown
+        # voxel takes the full scan. Cubes may leave the grid on any side.
+        known = data.draw(st.booleans())
+        states = data.draw(arrays(np.uint8, st.tuples(*[st.integers(1, 6)] * 3),
+                                  elements=st.sampled_from([FREE, OCCUPIED] if known
+                                                           else [UNKNOWN, FREE, OCCUPIED])))
+        grid = OccupancyGrid(1.0, np.zeros(3), states)
+        extent = grid.world_max() - grid.world_min()
+        center = extent * np.array(data.draw(st.tuples(*[st.floats(-0.3, 1.3)] * 3)))
+        cube = UpdateCube(center, data.draw(st.floats(0.5, 1.5)) * float(extent.max()))
+        for connectivity in (6, 26):
+            assert np.array_equal(frontier_points(grid, cube, connectivity),
+                                  frontier_points_all_shifts(grid, cube, connectivity))
 
     def test_bad_connectivity(self):
         grid = make_grid((2, 2, 2), FREE)
