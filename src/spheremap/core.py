@@ -6,9 +6,9 @@ circle radius exceeds ``r_min``. A node is an id: its center and radius live
 only in its ``NodeIndex`` row (``node_index.row`` / ``rows``), its links and
 their step costs (priced by ``_recompute_edges``) in ``adj`` and its segment
 label in ``segment_of``. The sparse layer partitions the nodes into roughly
-convex segments joined by portals; each segment caches a CSR view of its
-edges, a csgraph Dijkstra table per portal endpoint and the portal-to-portal
-paths read off them, so a rebuild reads only the segment's own edges.
+convex segments joined by portals; each segment keeps one planning table, a
+CSR view of its edges and the csgraph Dijkstra rows from its portal
+endpoints, so a rebuild reads only the segment's own edges.
 
 One ``update_iteration`` mutates only the cube around the vehicle, in three
 steps: radius recomputation + pruning, expansion by sampling, then
@@ -85,28 +85,26 @@ class BuildParams:
 
 @dataclass
 class Segment:
-    """Connected, roughly convex cluster of nodes with cached portal paths:
-    ``view`` of the members, ``portal_tables[e] = (dist, pred)``, the csgraph
-    Dijkstra rows from portal endpoint ``e`` over it, and ``path_cache[(a, b)]
-    = (path, cost)`` for ``a < b`` read off ``a``'s table; rebuilt together."""
+    """Connected, roughly convex cluster of nodes: members, bounding sphere
+    and one planning table, rebuilt together: ``view`` of the members and the
+    csgraph Dijkstra rows ``dist``/``pred`` from each of ``ends``, its sorted
+    portal endpoints. The optimal path between ends a < b is read off a's row."""
 
     label: int
     members: set[int]
     center: np.ndarray
     radius: float
-    path_cache: dict[tuple[int, int], tuple[tuple[int, ...], float]] = field(default_factory=dict)
-    portal_tables: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     view: "planner.GraphView | None" = None
+    ends: list[int] = field(default_factory=list)
+    dist: np.ndarray | None = None
+    pred: np.ndarray | None = None
     altered: bool = True
-    box_dirty: bool = True
-    cached_box: tuple | None = None
 
 
 @dataclass
 class Portal:
-    """Best inter-segment edge: node ``a`` lives in the lower-labeled segment."""
+    """Widest edge between the segments keying it: ``a`` is in the lower label."""
 
-    segments: tuple[int, int]
     a: int
     b: int
     radius: float
@@ -189,13 +187,10 @@ class SphereMap:
         self.mutation_token += 1
         return nid
 
-    def _mark_altered(self, nid: int, geometry_changed: bool = False) -> None:
+    def _mark_altered(self, nid: int) -> None:
         label = self.segment_of[nid]
         if label is not None:
-            seg = self.segments[label]
-            seg.altered = True
-            if geometry_changed:
-                seg.box_dirty = True
+            self.segments[label].altered = True
 
     def _remove_node(self, nid: int) -> None:
         label = self.segment_of.pop(nid)
@@ -208,14 +203,13 @@ class SphereMap:
             seg = self.segments[label]
             seg.members.discard(nid)
             seg.altered = True
-            seg.box_dirty = True
             if not seg.members:
                 self._drop_segment(label)
         self.mutation_token += 1
 
     def _set_radius(self, nid: int, r: float) -> None:
         self.node_index.set_aux(nid, r)
-        self._mark_altered(nid, geometry_changed=True)
+        self._mark_altered(nid)
         self.mutation_token += 1
 
     def _recompute_edges(self, nid: int):
@@ -494,7 +488,6 @@ class SphereMap:
             comps.sort(key=lambda c: (-len(c), min(c)))
             seg.members = comps[0]
             seg.altered = True
-            seg.box_dirty = True
             for comp in comps[1:]:
                 new = self._new_label()
                 self.segments[new] = Segment(new, comp, np.zeros(3), 0.0)
@@ -541,7 +534,6 @@ class SphereMap:
             seg.members.add(nid)
             self.segment_of[nid] = label
             seg.altered = True
-            seg.box_dirty = True
             offer(self.adj[nid])
         seg.center, seg.radius = center, radius
 
@@ -570,7 +562,6 @@ class SphereMap:
         seg_t.members |= seg_s.members
         seg_t.center, seg_t.radius = bounds
         seg_t.altered = True
-        seg_t.box_dirty = True
         self._drop_segment(source)
 
     def _recompute_portals(self, label: int, cache_dirty: set[int]) -> None:
@@ -595,7 +586,7 @@ class SphereMap:
                 cache_dirty.add(other)
         for other, (ir, a, b) in best.items():
             pair = (label, other) if label < other else (other, label)
-            new = Portal(pair, a, b, ir)
+            new = Portal(a, b, ir)
             old = self.portals.get(pair)
             if old is None or (old.a, old.b) != (a, b) or old.radius != ir:
                 self.portals[pair] = new
@@ -613,24 +604,20 @@ class SphereMap:
         return sorted(out)
 
     def _portal_tables(self, label: int):
-        """(view, {portal node: (dist, pred)}, path cache) of one segment: one
-        csgraph Dijkstra from all portal endpoints over the segment's view,
-        and the portal-pair paths read off the tables. The one kernel behind
-        ``_rebuild_cache`` and ``check_structure``."""
+        """(view, ends, dist, pred) of one segment: one csgraph Dijkstra from
+        all portal endpoints ``ends`` over the segment's view. The one kernel
+        behind ``_rebuild_cache`` and ``check_structure``."""
         view = planner.graph_view(self, self.segments[label].members)
         ends = self.segment_portal_nodes(label)
-        at = view.rank(ends)
-        dist, pred = dijkstra(view.graph, indices=at, return_predecessors=True)
-        cache = {(a, b): (tuple(view.unwind(pred[i], at[j])), float(dist[i, at[j]]))
-                 for i, a in enumerate(ends) for j, b in enumerate(ends) if i < j}
-        return view, {e: (dist[i], pred[i]) for i, e in enumerate(ends)}, cache
+        dist, pred = dijkstra(view.graph, indices=view.rank(ends), return_predecessors=True)
+        return view, ends, dist, pred
 
     def _rebuild_cache(self, label: int) -> None:
         seg = self.segments[label]
-        seg.view, seg.portal_tables, seg.path_cache = self._portal_tables(label)
+        seg.view, seg.ends, seg.dist, seg.pred = self._portal_tables(label)
         seg.altered = False
 
-    def segment_update(self, grid: OccupancyGrid, cube: UpdateCube) -> dict:
+    def segment_update(self, grid: OccupancyGrid, cube: UpdateCube, added=()) -> dict:
         stats = {"split": 0, "created": 0, "merged": 0, "caches_rebuilt": 0, "edges_read": 0}
         # Split and growth neither add nor remove nodes: one query serves both.
         in_cube = self.nodes_in_cube(cube)
@@ -646,7 +633,10 @@ class SphereMap:
         for label in sorted(near):
             if label in self.segments:
                 self._grow_segment(label)
-        unassigned = sorted(i for i in in_cube if self.segment_of[i] is None)
+        # Seeds: unlabelled nodes of the cube and of ``added``, the ids expand
+        # added, since float32 can round one of those just outside the cube.
+        unassigned = sorted(i for i in {*in_cube, *added}
+                            if i in self.node_index and self.segment_of[i] is None)
         _, radii = self.node_index.rows(unassigned)
         for k in np.argsort(-radii, kind="stable").tolist():
             nid = unassigned[k]
@@ -738,11 +728,12 @@ class SphereMap:
         timings["prune"] = time.perf_counter() - t
 
         t = time.perf_counter()
+        first_added = self._next_node_id
         expand_stats = self.expand(index, grid, cube, uav)
         timings["expand"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        segment_stats = self.segment_update(grid, cube)
+        segment_stats = self.segment_update(grid, cube, range(first_added, self._next_node_id))
         timings["segment"] = time.perf_counter() - t
 
         self.last_cube = cube

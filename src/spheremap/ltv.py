@@ -1,9 +1,10 @@
 """Lightweight topological-volumetric map.
 
 Each segment of a sphere map is summarized as a 4DOF oriented box (center,
-z-axis yaw, half-extents) guaranteed to contain all member spheres. Boxes,
-segment adjacency, exploration metadata, and candidate exploration goals
-encode to a compact wire format for low-bandwidth sharing.
+z-axis yaw, half-extents) guaranteed to contain all member spheres; every
+extraction fits every segment afresh, so no box outlives the map it
+describes. Boxes, segment adjacency, exploration metadata, and candidate
+exploration goals encode to a compact wire format for low-bandwidth sharing.
 """
 
 from __future__ import annotations
@@ -76,8 +77,12 @@ def fit_box(positions: np.ndarray, radii: np.ndarray):
         h, _ = _support_extent(xy, radii, ang + math.pi / 2.0)
         return w * h
 
+    # The coarse yaws and their normals, scored in one projection.
     coarse = np.linspace(-math.pi / 2.0, math.pi / 2.0, 181, endpoint=False)
-    areas = np.array([area(a) for a in coarse])
+    angs = np.concatenate([coarse, coarse + math.pi / 2.0]).tolist()
+    proj = xy @ np.array([[math.cos(a) for a in angs], [math.sin(a) for a in angs]])
+    widths = (proj + radii[:, None]).max(axis=0) - (proj - radii[:, None]).min(axis=0)
+    areas = widths[:181] * widths[181:]
     best_area = float(areas.min())
     # Among near-ties prefer the angle closest to zero.
     tied = np.flatnonzero(areas <= best_area * (1.0 + 1e-9))
@@ -147,15 +152,11 @@ def _cluster_goals(points: np.ndarray, radius: float = GOAL_CLUSTER_RADIUS) -> n
 
 
 def extract(smap) -> LtvMap:
-    """Topological-volumetric view of the map; box fits reuse cached results
-    for segments untouched since the previous extraction."""
+    """Topological-volumetric view of the map, one box fit per segment."""
     ltv = LtvMap()
     for label in sorted(smap.segments):
         seg = smap.segments[label]
-        if seg.box_dirty or seg.cached_box is None:
-            seg.cached_box = fit_box(*smap.node_index.rows(sorted(seg.members)))
-            seg.box_dirty = False
-        center, yaw, half = seg.cached_box
+        center, yaw, half = fit_box(*smap.node_index.rows(sorted(seg.members)))
         if len(smap.frontiers):
             d = np.linalg.norm(smap.frontiers - seg.center, axis=1)
             ratio = float(np.count_nonzero(d <= seg.radius)) / max(len(seg.members), 1)

@@ -16,7 +16,8 @@ one segment: on the 987-node, 20,918-edge cave-mission map a full-graph
 query took about 1.1 ms against 4.9 ms for a Python A*. Over the portal
 meta-graph (HPA*'s portal abstraction, Botea, Mueller & Schaeffer 2004),
 tens of nodes, the Python heap ``_best_first``: 6-13 us against 137-237 us
-for csgraph, most of it building the CSR.
+for csgraph, most of it building the CSR. Cached planning reads a segment's
+costs, legs and paths off its one table (``Segment.ends``/``dist``/``pred``).
 
 All planners are pure functions over read-only inputs; run them between map
 updates.
@@ -29,7 +30,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -125,7 +126,7 @@ def evaluate_path(waypoints, clearance_source, params: PlannerParams):
 # sphere-graph planning
 # ----------------------------------------------------------------------
 
-def _attach(smap, p, segmented_only=False):
+def _attach(smap, p):
     """Containing sphere with the largest clearance margin r - |p - center|,
     the first in ``NodeIndex.query`` order on a tie; (None, -inf) if none."""
     p = np.asarray(p, dtype=float)
@@ -133,8 +134,6 @@ def _attach(smap, p, segmented_only=False):
     delta = p - pos
     margin = radii - np.sqrt(np.vecdot(delta, delta))
     ok = margin >= 0.0
-    if segmented_only:
-        ok[ok] = [smap.segment_of[i] is not None for i in ids[ok].tolist()]
     if not ok.any():
         return None, -math.inf
     k = int(np.argmax(np.where(ok, margin, -np.inf)))
@@ -206,11 +205,11 @@ def _route(view: GraphView, source: int, target: int) -> tuple[list[int], float]
     return (view.unwind(pred, t), float(dist[t])) if math.isfinite(dist[t]) else None
 
 
-def _best_first(adj, sources, goal):
+def _best_first(adj, sources, legs):
     """Dijkstra over the portal meta-graph ``adj[u] = [(v, weight), ...]``
-    from ``sources`` (node: initial cost), popping in (g, node id) order:
-    (g, came) when ``goal`` is settled, the costs of and parent links to the
-    nodes reached, or None."""
+    from ``sources`` (node: initial cost) to the goal, id -2, that node ``u``
+    reaches at cost ``legs[u]``. Pops in (g, id) order and improves a cost
+    only on a strict ``<``: (g, came) when the goal is settled, or None."""
     g = dict(sources)
     came: dict[int, int] = {}
     heap = [(gu, u) for u, gu in sources.items()]
@@ -219,9 +218,9 @@ def _best_first(adj, sources, goal):
         gu, u = heapq.heappop(heap)
         if gu > g[u]:
             continue  # stale; a settled node is never improved (weights >= 0)
-        if u == goal:
+        if u == -2:
             return g, came
-        for v, w in adj[u]:
+        for v, w in chain(adj[u], [(-2, legs[u])] if u in legs else ()):
             alt = gu + w
             if alt < g.get(v, math.inf):
                 g[v] = alt
@@ -273,13 +272,17 @@ def astar_sphere_graph(smap, start, goal, params: PlannerParams) -> PlanResult |
 def _meta_static(smap):
     """Portal-level meta-graph shared by all cached queries, under the map's
     ``plan_params``; rebuilt only when the map mutates. Nodes are portal
-    endpoints; edges are portal crossings and cached intra-segment paths."""
+    endpoints; edges are portal crossings and each segment's table entries
+    between its endpoints ``ends[i] < ends[j]``."""
     if smap.meta_graph is not None and smap.meta_graph[0] == smap.mutation_token:
         return smap.meta_graph[1]
     meta: dict[int, list[tuple[int, float]]] = {}
     hops = [(p.a, p.b, smap.adj[p.a][p.b]) for p in smap.portals.values()]
-    hops += [(u, v, cost) for seg in smap.segments.values()
-             for (u, v), (_, cost) in seg.path_cache.items()]
+    for seg in smap.segments.values():
+        if len(seg.ends) > 1:
+            costs = seg.dist[:, seg.view.rank(seg.ends)].tolist()
+            hops += [(u, v, costs[i][j])
+                     for (i, u), (j, v) in combinations(enumerate(seg.ends), 2)]
     for u, v, w in hops:
         meta.setdefault(u, []).append((v, w))
         meta.setdefault(v, []).append((u, w))
@@ -288,61 +291,54 @@ def _meta_static(smap):
 
 
 def plan_cached(smap, start, goal, params: PlannerParams) -> PlanResult | None:
-    """Long-distance planning through portals and cached intra-segment paths.
+    """Long-distance planning through portals and the segments' tables.
 
-    Searches a meta-graph over the two endpoints (ids -1 and -2) and all
-    portal endpoints. Segment interiors are crossed on the cached portal-pair
-    paths and each endpoint reaches its segment's portals along the segment's
-    tables, so only a same-segment query searches spheres: the direct route,
-    over the segment's view. The search runs under the map's ``plan_params``,
-    the weights its caches hold; ``params`` only prices length and risk.
+    One meta-graph search over the portal endpoints from the start's legs to
+    the goal's, both read off the endpoints' segment tables; a hop inside a
+    segment follows its table's path. Only a same-segment query searches
+    spheres: the direct route, over the segment's view, is one more source
+    (id -2, the goal), so it wins a tie. The search runs under the map's
+    ``plan_params``, the weights the tables hold; ``params`` only prices.
     """
     t0 = time.perf_counter()
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    s_id, s_margin = _attach(smap, start, segmented_only=True)
-    g_id, g_margin = _attach(smap, goal, segmented_only=True)
+    s_id, s_margin = _attach(smap, start)
+    g_id, g_margin = _attach(smap, goal)
     if s_id is None or g_id is None:
         return None
     if np.array_equal(start, goal):
         return _plan_result(start.reshape(1, 3), np.array([s_margin]), "cached", t0, params)
     weights, label = smap.plan_params, smap.segment_of
     s_seg, g_seg = smap.segments[label[s_id]], smap.segments[label[g_id]]
+    s_at, g_at = s_seg.view.rank(s_id), g_seg.view.rank(g_id)
     g_p, g_r = smap.node_index.row(g_id)
     s_step = _step_cost(start, s_margin, *smap.node_index.row(s_id), weights)
     g_step = _step_cost(goal, g_margin, g_p, g_r, weights)
-    direct = inside = None  # the direct same-segment route, beside the meta-path
-    if s_seg is g_seg:
-        inside = _route(s_seg.view, s_id, g_id)
+    sources = dict(zip(s_seg.ends, (s_step + s_seg.dist[:, s_at]).tolist()))
+    legs = dict(zip(g_seg.ends, (g_step + g_seg.dist[:, g_at]).tolist()))
+    inside = _route(s_seg.view, s_id, g_id) if s_seg is g_seg else None
     if inside is not None:  # summed in path order, as a search from s_step sums it
         steps = [smap.adj[u][v] for u, v in zip(inside[0], inside[0][1:])]
         last = transition_cost(g_p, g_r, goal, g_margin, weights)
-        direct = float(np.cumsum([s_step, *steps, *last])[-1])
-
-    meta = dict(_meta_static(smap))
-    s_tab, g_tab = s_seg.portal_tables, g_seg.portal_tables
-    s_at, g_at = s_seg.view.rank(s_id), g_seg.view.rank(g_id)
-    meta[-1] = [(e, s_step + float(s_tab[e][0][s_at]))
-                for e in smap.segment_portal_nodes(s_seg.label)]
-    meta.update((e, meta[e] + [(-2, g_step + float(g_tab[e][0][g_at]))])
-                for e in smap.segment_portal_nodes(g_seg.label))
-    found = _best_first(meta, {-1: 0.0}, -2)
-    if found is None and direct is None:
+        sources[-2] = float(np.cumsum([s_step, *steps, *last])[-1])
+    found = _best_first(_meta_static(smap), sources, legs)
+    if found is None:
         return None
 
-    if direct is not None and (found is None or direct <= found[0][-2]):
+    hops = _unwind(found[1], -2)[:-1]
+    if not hops:
         node_path = inside[0]
     else:
-        hops = _unwind(found[1], -2)[1:-1]
-        node_path = s_seg.view.unwind(s_tab[hops[0]][1], s_at)[::-1]
+        node_path = s_seg.view.unwind(s_seg.pred[s_seg.ends.index(hops[0])], s_at)[::-1]
         for u, v in zip(hops, hops[1:]):
             if label[u] != label[v]:
                 node_path.append(v)  # portal crossing
                 continue
-            cache = smap.segments[label[u]].path_cache
-            seq = cache[(u, v)][0] if (u, v) in cache else cache[(v, u)][0][::-1]
-            node_path.extend(seq[1:])
-        node_path.extend(g_seg.view.unwind(g_tab[hops[-1]][1], g_at)[1:])
+            seg, a, b = smap.segments[label[u]], min(u, v), max(u, v)
+            seq = seg.view.unwind(seg.pred[seg.ends.index(a)], seg.view.rank(b))
+            node_path.extend((seq if u < v else seq[::-1])[1:])
+        node_path.extend(g_seg.view.unwind(g_seg.pred[g_seg.ends.index(hops[-1])], g_at)[1:])
     return _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
                                  "cached", t0, params)
 

@@ -4,7 +4,7 @@ A snapshot holds only what the map cannot derive: the build parameters, the
 id and label counters, the nodes (id, float32 centre and radius, segment
 label) and each segment's label and bounding sphere. Edges follow
 from the intersection rule, portals are the widest inter-segment edges and
-cached paths are optimal searches between portals, so ``load_map`` rebuilds
+tables are Dijkstra searches from portal endpoints, so ``load_map`` rebuilds
 them with the code that built them the first time (``_recompute_edges``,
 ``_recompute_portals``, ``_rebuild_cache``). No stored copy can contradict
 the spheres, and as the map keeps its spheres at float32, the rebuilt layers

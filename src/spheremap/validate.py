@@ -20,7 +20,7 @@ from .voxelgrid import OccupancyGrid, grid_obstacles
 
 
 def check_structure(smap) -> list[str]:
-    """Edge rule and costs, segment partition/connectivity, portals, caches,
+    """Edge rule and costs, segment partition/connectivity, portals, tables,
     redundancy."""
     problems: list[str] = []
     r_min = smap.params.r_min
@@ -115,26 +115,23 @@ def check_structure(smap) -> list[str]:
         if pair not in smap.portals:
             problems.append(f"adjacent segments {pair} lack a portal")
 
-    # Caches: a view of the segment's edges, one node-to-portal table per
-    # live portal endpoint, and tables and portal-pair paths bit-equal to a
-    # fresh run of the kernel that built them.
+    # Tables: a view of the segment's edges, the live portal endpoints and
+    # their Dijkstra rows, bit-equal to a fresh run of the kernel that built
+    # them.
     for label, seg in smap.segments.items():
         if seg.altered:
             problems.append(f"segment {label} left altered after iteration")
-        if sorted(seg.portal_tables) != smap.segment_portal_nodes(label):
-            problems.append(f"segment {label} table keys mismatch its portal nodes")
+        if seg.ends != smap.segment_portal_nodes(label):
+            problems.append(f"segment {label} table ends mismatch its portal nodes")
         if not seg.members <= smap.adj.keys():
             continue  # dead members, reported above
-        view, tables, cache = smap._portal_tables(label)
+        view, _, dist, pred = smap._portal_tables(label)
         if seg.view is None or not _same_arrays(
                 (seg.view.ids, seg.view.graph.indptr, seg.view.graph.indices, seg.view.graph.data),
                 (view.ids, view.graph.indptr, view.graph.indices, view.graph.data)):
             problems.append(f"view {label} differs from recomputation")
-        problems += [f"table {label}:{e} differs from recomputation" for e in sorted(tables)
-                     if not _same_arrays(seg.portal_tables.get(e, ()), tables[e])]
-        problems += [f"cache {label}:{key} differs from recomputation"
-                     for key in sorted(set(seg.path_cache) | set(cache))
-                     if seg.path_cache.get(key) != cache.get(key)]
+        if not _same_arrays((seg.dist, seg.pred), (dist, pred)):
+            problems.append(f"table {label} differs from recomputation")
 
     if cube is not None:
         ids = sorted(smap.nodes_in_cube(cube))

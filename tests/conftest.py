@@ -94,6 +94,13 @@ def segment_like_an_update(smap):
     return smap
 
 
+def same_tables(a, b):
+    """Two segments hold the same planning table: view ids, portal
+    endpoints, and Dijkstra distances and predecessors bit for bit."""
+    return (np.array_equal(a.view.ids, b.view.ids) and a.ends == b.ends
+            and np.array_equal(a.dist, b.dist) and np.array_equal(a.pred, b.pred))
+
+
 def wall_gap_room(resolution=0.2):
     """A 10 x 6 x 3.2 m box room split along x by a 0.4 m wall with a 3 m gap.
 

@@ -5,9 +5,11 @@ search with its own cost arithmetic, a random sphere-map generator, and
 brute-force coverage and redundancy oracles. Two exceptions:
 ``graph_costs`` and ``best_first`` keep the planner's earlier dict-of-lists
 edge-cost table and Python heap search, the reference its csgraph views must
-match bit for bit, and ``plan_cached_two_dijkstra`` keeps an earlier cached
-planner, built on them, as the reference its table-driven successor must
-match.
+match bit for bit; ``plan_cached_two_dijkstra`` keeps an earlier cached
+planner, built on them and on ``portal_paths`` (the per-segment path cache
+that segments kept beside their tables), as the reference its table-driven
+successor must match; ``fit_box_per_angle`` keeps the LTV box fit that
+scored each coarse yaw on its own.
 """
 
 import heapq
@@ -18,6 +20,7 @@ from scipy.spatial import cKDTree
 
 from spheremap import FREE, OCCUPIED, UNKNOWN, BuildParams, SphereMap, UpdateCube
 from spheremap.geometry import covered_fractions
+from spheremap.ltv import _support_extent
 from spheremap.planner import (_attach, _finish_sphere_result, _meta_static, _plan_result,
                                _step_cost, _unwind, transition_cost)
 from spheremap.voxelgrid import frontier_points, obstacle_points
@@ -122,12 +125,10 @@ def random_sphere_map(seed, max_nodes=50, box=20.0):
     return smap, start, goal
 
 
-def _attach_oracle(smap, p, segmented_only=False):
+def _attach_oracle(smap, p):
     best = None
     best_margin = -math.inf
     for nid in sorted(smap.adj):
-        if segmented_only and smap.segment_of[nid] is None:
-            continue
         center, r = smap.node_index.row(nid)
         margin = r - float(np.linalg.norm(np.asarray(p) - center))
         if margin >= 0.0 and margin > best_margin:
@@ -363,14 +364,22 @@ def best_first(adj, sources, goal=None, heuristic=None, members=None):
     return None if goal is not None else (g, came)
 
 
+def portal_paths(seg):
+    """{(a, b): (path, cost)} for the portal endpoints a < b of a segment,
+    read off its table, as the per-segment path cache held them."""
+    at = seg.view.rank(seg.ends)
+    return {(a, b): (tuple(seg.view.unwind(seg.pred[i], at[j])), float(seg.dist[i, at[j]]))
+            for i, a in enumerate(seg.ends) for j, b in enumerate(seg.ends) if i < j}
+
+
 def plan_cached_two_dijkstra(smap, start, goal, params):
     """The cached planner before node-to-portal tables: a Dijkstra from each
     endpoint over its whole segment gives the legs to the portals, and the
     meta-graph search and path assembly are as in ``plan_cached``."""
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    s_id, s_margin = _attach(smap, start, segmented_only=True)
-    g_id, g_margin = _attach(smap, goal, segmented_only=True)
+    s_id, s_margin = _attach(smap, start)
+    g_id, g_margin = _attach(smap, goal)
     if s_id is None or g_id is None:
         return None
     if np.array_equal(start, goal):
@@ -404,9 +413,60 @@ def plan_cached_two_dijkstra(smap, start, goal, params):
             if label[u] != label[v]:
                 node_path.append(v)
                 continue
-            cache = smap.segments[label[u]].path_cache
+            cache = portal_paths(smap.segments[label[u]])
             seq = cache[(u, v)][0] if (u, v) in cache else cache[(v, u)][0][::-1]
             node_path.extend(seq[1:])
         node_path.extend(_unwind(g_came, hops[-1])[-2::-1])
     return _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,
                                  "cached", 0.0, params)
+
+
+def fit_box_per_angle(positions, radii):
+    """``ltv.fit_box`` as it scored each of the 181 coarse yaws with its own
+    two projections, the reference for the one-projection scoring."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if len(positions) == 1:
+        p, r = positions[0], float(radii[0])
+        return p.copy(), 0.0, np.array([r, r, r])
+    xy = positions[:, :2]
+
+    def area(ang):
+        w, _ = _support_extent(xy, radii, ang)
+        h, _ = _support_extent(xy, radii, ang + math.pi / 2.0)
+        return w * h
+
+    coarse = np.linspace(-math.pi / 2.0, math.pi / 2.0, 181, endpoint=False)
+    areas = np.array([area(a) for a in coarse])
+    best_area = float(areas.min())
+    tied = np.flatnonzero(areas <= best_area * (1.0 + 1e-9))
+    best_i = int(tied[np.argmin(np.abs(coarse[tied]))])
+    lo = coarse[best_i] - (coarse[1] - coarse[0])
+    hi = coarse[best_i] + (coarse[1] - coarse[0])
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = area(c), area(d)
+    for _ in range(40):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = area(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = area(d)
+    yaw = (a + b) / 2.0
+    if area(0.0) <= area(yaw) * (1.0 + 1e-12):
+        yaw = 0.0
+    yaw = (yaw + math.pi / 2.0) % math.pi - math.pi / 2.0
+    wu, mu = _support_extent(xy, radii, yaw)
+    wv, mv = _support_extent(xy, radii, yaw + math.pi / 2.0)
+    z_hi = float(np.max(positions[:, 2] + radii))
+    z_lo = float(np.min(positions[:, 2] - radii))
+    u = np.array([math.cos(yaw), math.sin(yaw)])
+    v = np.array([-math.sin(yaw), math.cos(yaw)])
+    center = np.array([mu * u[0] + mv * v[0], mu * u[1] + mv * v[1], (z_hi + z_lo) / 2.0])
+    half = np.array([wu / 2.0, wv / 2.0, (z_hi - z_lo) / 2.0])
+    return center, float(yaw), half

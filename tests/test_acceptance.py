@@ -22,7 +22,7 @@ from spheremap.bench import (mission_trace_through, pick_start, sample_goal_node
                              scenario_multi_goal, scenario_single_goal)
 from spheremap.ltv import encode, decode, encoded_size, extract, size_report
 
-from conftest import box_room, segment_like_an_update
+from conftest import box_room, same_tables, segment_like_an_update
 from oracles import covered_mask, free_centroids, random_sphere_map, ucs_optimal
 from test_ltv import random_ltv
 
@@ -345,7 +345,7 @@ def test_criterion_10_format_round_trips():
         loaded = load_map(data)
         assert save_map(loaded) == data
         assert loaded.adj == smap.adj and loaded.portals == smap.portals
-        assert all(loaded.segments[label].path_cache == seg.path_cache
+        assert all(same_tables(loaded.segments[label], seg)
                    for label, seg in smap.segments.items())
 
     formula_ok = True

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from spheremap import (FREE, OCCUPIED, UNKNOWN, BuildParams, ObstacleIndex, OccupancyGrid,
-                       Segment, SphereMap, UpdateCube, check_all, plan_cached)
+                       Segment, SphereMap, UpdateCube, check_all, load_map, plan_cached,
+                       save_map)
 from spheremap.geometry import covered_fractions
 from spheremap.voxelgrid import frontier_points, surface_points
 
-from conftest import box_room, spherical_cavity, two_rooms_with_corridor
+from conftest import box_room, same_tables, spherical_cavity, two_rooms_with_corridor
 from oracles import expand_oracle, nearest_coverer
 
 
@@ -369,7 +370,7 @@ class TestUpdateIteration:
             pa, pb = m1.portals[pair], m2.portals[pair]
             assert (pa.a, pa.b, pa.radius) == (pb.a, pb.b, pb.radius)
         for label in m1.segments:
-            assert m1.segments[label].path_cache == m2.segments[label].path_cache
+            assert same_tables(m1.segments[label], m2.segments[label])
 
 
 class TestSegmentation:
@@ -386,6 +387,23 @@ class TestSegmentation:
         assert len(smap.portals) == 0
         seg = next(iter(smap.segments.values()))
         assert len(seg.members) == smap.node_count()
+
+    def test_node_rounded_off_the_cube_face_gets_a_segment(self):
+        # The cube's low x face runs through voxel centres (x = 1.3), and
+        # float32 rounds candidates there to 1.2999999523, just outside the
+        # cube. Tiny r_exp and r_merge keep every segment from growing or
+        # merging over them: only the added ids label them.
+        grid = box_room((6.0, 6.0, 3.0))
+        face = float(grid.voxel_center((7, 0, 0))[0])
+        smap = make_map(cube_side=4.0, voxel_stride=1, r_exp=0.5, r_merge=1.0)
+        smap.update_iteration(grid, np.array([face + 2.0, 3.0, 1.5]))
+        inside = set(smap.nodes_in_cube(smap.last_cube))
+        outside = [nid for nid in smap.adj if nid not in inside]
+        off = np.abs(smap.node_index.rows(outside)[0] - smap.last_cube.center).max(axis=1)
+        assert np.any(off < 2.0 + 1e-6)
+        assert all(label is not None for label in smap.segment_of.values())
+        assert check_all(smap) == []
+        load_map(save_map(smap))
 
     def test_tied_portal_edges_pick_the_same_edge_from_either_side(self):
         # Edges (0, 3) and (1, 2) are mirror images with equal intersection

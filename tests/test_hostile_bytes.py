@@ -29,13 +29,14 @@ def corrupted(draw, payload: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def payloads():
-    # Four segments, three portals and two cached paths in 1.6 kB.
+    # Four segments, three portals and two tables with a path between
+    # portals, in 1.6 kB.
     grid, c1, c2, _ = two_rooms_with_corridor(room=6.0, corridor_len=16.0, resolution=0.4)
     smap = SphereMap(BuildParams(cube_side=16.0, voxel_stride=4, ray_count=0,
                                  r_exp=3.0, r_merge=6.0))
     for t in np.linspace(0, 1, 5):
         smap.update_iteration(grid, c1 + t * (c2 - c1))
-    assert len(smap.portals) > 1 and any(seg.path_cache for seg in smap.segments.values())
+    assert len(smap.portals) > 1 and any(len(seg.ends) > 1 for seg in smap.segments.values())
     ltv = extract(smap)
     ltv.goals = np.array([[1.0, 2.0, 1.5], [20.0, 3.0, 1.5]])
     return {"smap": save_map(smap), "ltv": encode(ltv), "grid": save_grid(grid)}

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremap import (BadMagicError, BuildParams, LtvMap, LtvSegment, PayloadError,
                        SphereMap, TruncatedError, decode, encode, encoded_size,
@@ -11,7 +13,7 @@ from spheremap import (BadMagicError, BuildParams, LtvMap, LtvSegment, PayloadEr
 from spheremap.ltv import GOAL_CLUSTER_RADIUS, _cluster_goals
 
 from conftest import box_room, two_rooms_with_corridor
-from oracles import greedy_goal_clusters
+from oracles import fit_box_per_angle, greedy_goal_clusters
 
 
 def box_contains_spheres(center, yaw, half, positions, radii, tol=1e-9):
@@ -26,6 +28,21 @@ def box_contains_spheres(center, yaw, half, positions, radii, tol=1e-9):
         if abs(d[2]) + r > half[2] + tol:
             return False
     return True
+
+
+@st.composite
+def sphere_sets(draw):
+    """1-40 spheres at float32, as a map keeps them: anywhere in a 100 m box,
+    or on a 0.2 m lattice, where symmetric sets tie yaws exactly."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        coord = st.integers(-100, 100).map(lambda k: float(np.float32(0.2 * k)))
+    else:
+        coord = st.floats(-50.0, 50.0, width=32)
+    pos = draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n))
+    radius = st.floats(float(np.float32(0.8)), 8.0, width=32)
+    radii = draw(st.lists(radius, min_size=n, max_size=n))
+    return np.array(pos), np.array(radii)
 
 
 class TestFitBox:
@@ -66,6 +83,14 @@ class TestFitBox:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_box(np.empty((0, 3)), np.empty(0))
+
+    @settings(max_examples=400)  # the reference projects 362 times per example
+    @given(sphere_sets())
+    def test_matches_the_per_angle_fit(self, spheres):
+        center, yaw, half = fit_box(*spheres)
+        ref_center, ref_yaw, ref_half = fit_box_per_angle(*spheres)
+        assert np.array_equal(center, ref_center) and yaw == ref_yaw
+        assert np.array_equal(half, ref_half)
 
 
 def build_map_on(grid, uavs, **kwargs):
@@ -110,15 +135,6 @@ class TestExtract:
             # wire values are float32; allow that quantization
             assert box_contains_spheres(box.center, box.yaw, box.half_extents,
                                         pos, rad, tol=1e-4)
-
-    def test_box_cache_reused_until_altered(self):
-        grid = box_room((6.0, 6.0, 3.0))
-        smap = build_map_on(grid, [np.array([3.0, 3.0, 1.5])] * 3)
-        extract(smap)
-        boxes = {l: smap.segments[l].cached_box for l in smap.segments}
-        extract(smap)
-        for label in boxes:
-            assert smap.segments[label].cached_box is boxes[label]
 
     def test_exploration_value_with_frontiers(self):
         # half-revealed room: the unknown half produces frontiers

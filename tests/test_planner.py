@@ -13,8 +13,8 @@ from spheremap import (FREE, OCCUPIED, BuildParams, ClearanceField, ObstacleInde
 from spheremap.planner import _attach, _chain_cost, graph_view
 from spheremap.voxelgrid import grid_obstacles
 
-from conftest import (box_room, segment_like_an_update, segmented_two_rooms, two_rooms_with_corridor,
-                      wall_gap_room)
+from conftest import (box_room, same_tables, segment_like_an_update, segmented_two_rooms,
+                      two_rooms_with_corridor, wall_gap_room)
 from oracles import (_attach_oracle, best_first, distance_to, graph_costs, plan_cached_two_dijkstra,
                      random_sphere_map, ucs_node_cost, ucs_optimal)
 
@@ -97,16 +97,6 @@ class TestAttach:
         probe = (1.0, 0.0, 0.0)
         assert _attach(smap, probe) == _attach_oracle(smap, probe) == (ids[0], 0.5)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_segmented_only_skips_unsegmented_nodes(self, seed):
-        smap, start, goal = random_sphere_map(seed)
-        for nid in sorted(smap.adj)[::2]:
-            smap.segment_of[nid] = 0
-        rng = np.random.default_rng(seed)
-        for p in [start, goal] + list(rng.uniform(-2.0, 22.0, (20, 3))):
-            expected = _attach_oracle(smap, p, segmented_only=True)
-            assert _attach(smap, p, segmented_only=True) == expected
-
 
 def edge_traversable(p1, r1, p2, r2, r_min):
     """Whether a sphere map with this r_min joins the two spheres by an edge."""
@@ -149,7 +139,7 @@ def hand_map(chain, segments=None, portals=None):
         for (s1, s2), (a, b) in portals.items():
             from spheremap.geometry import intersection_radius
             ir = intersection_radius(*smap.node_index.row(a), *smap.node_index.row(b))
-            smap.portals[(s1, s2)] = Portal((s1, s2), a, b, ir)
+            smap.portals[(s1, s2)] = Portal(a, b, ir)
     return smap, ids
 
 
@@ -298,15 +288,15 @@ class TestPlanCached:
         assert cached.cost == pytest.approx(direct.cost, rel=1e-12)
 
     def test_crosses_cached_path_from_higher_to_lower_endpoint(self):
-        # segments 0 | 1 | 2 along x; segment 1's cache holds (2, 4) and the
-        # query walks it backwards, 4 -> 3 -> 2
+        # segments 0 | 1 | 2 along x; segment 1's table holds the path
+        # from portal node 2 to 4 and the query walks it backwards, 4 -> 3 -> 2
         chain = [((2.0 * i, 0, 0), 1.6) for i in range(7)]
         segments = {0: [0, 1], 1: [2, 3, 4], 2: [5, 6]}
         portals = {(0, 1): (1, 2), (1, 2): (4, 5)}
         smap, ids = hand_map(chain, segments, portals)
         for label in segments:
             smap._rebuild_cache(label)
-        assert list(smap.segments[1].path_cache) == [(2, 4)]
+        assert smap.segments[1].ends == [2, 4]
         start = np.array([12.0, 0.3, 0.0])
         goal = np.array([0.0, -0.3, 0.0])
         res = plan_cached(smap, start, goal, PARAMS)
@@ -327,6 +317,28 @@ class TestPlanCached:
         assert res is not None
         assert node_ids(smap, res.waypoints) == [0]
         assert res.cost == sum(_chain_cost(res.waypoints, res.clearances, PARAMS))
+
+    def test_same_segment_tie_keeps_the_direct_route(self):
+        # Unit spheres on a 1 m lattice, every edge costing exactly 8, with
+        # start and goal on node centres (no endpoint step). Segment 0 runs
+        # from node 0 at (0, 0) up x = 1 to node 5 at (1, 3), plus portal
+        # node 1 at (0, 3) beside it; one-node segments at (0, 1) and
+        # (0, 2) lead from node 0 to node 1. Both routes cost exactly 32,
+        # and the outside one reaches portal node 1 at 24, before the goal
+        # settles: the direct route must keep the tie.
+        xy = [(0, 0), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (0, 1), (0, 2)]
+        chain = [((x, y, 0.0), 1.0) for x, y in xy]
+        segments = {0: [0, 1, 2, 3, 4, 5], 1: [6], 2: [7]}
+        portals = {(0, 1): (0, 6), (0, 2): (1, 7), (1, 2): (6, 7)}
+        smap, _ = hand_map(chain, segments, portals)
+        for label in segments:
+            smap._rebuild_cache(label)
+        assert {w for nbrs in smap.adj.values() for w in nbrs.values()} == {8.0}
+        start, goal = np.zeros(3), np.array([1.0, 3.0, 0.0])
+        res = plan_cached(smap, start, goal, PARAMS)
+        assert res is not None and res.cost == 32.0
+        assert node_ids(smap, res.waypoints) == [0, 2, 3, 4, 5]
+        assert astar_sphere_graph(smap, start, goal, PARAMS).cost == 32.0
 
     def test_goal_portal_edge_is_not_charged_twice(self):
         # segment 0 is a U from node 0 round to node 6; a two-segment bridge
@@ -367,6 +379,8 @@ class TestPlanCached:
         del smap.portals[(0, 1)]
         del smap.adj[1][2]
         del smap.adj[2][1]
+        for label in (0, 1):  # as an update refreshes the tables after a cut
+            smap._rebuild_cache(label)
         res = plan_cached(smap, np.array([0.0, 0, 0]), np.array([6.0, 0, 0]), PARAMS)
         assert res is None
 
@@ -384,13 +398,6 @@ def same_plans(a, b):
         return a is None and b is None
     return (np.array_equal(a.waypoints, b.waypoints) and np.array_equal(a.clearances, b.clearances)
             and (a.length, a.risk) == (b.length, b.risk))
-
-
-def same_tables(a, b):
-    """Two segments hold the same view ids and the same portal tables."""
-    return (np.array_equal(a.view.ids, b.view.ids) and a.portal_tables.keys() == b.portal_tables.keys()
-            and all(np.array_equal(x, y) for e in a.portal_tables
-                    for x, y in zip(a.portal_tables[e], b.portal_tables[e])))
 
 
 @pytest.fixture(scope="module", params=[0, 1, 2])
@@ -447,7 +454,6 @@ class TestPortalTables:
             smap.update_iteration(grid, p)
         loaded = load_map(save_map(smap))
         assert all(same_tables(loaded.segments[label], seg)
-                   and loaded.segments[label].path_cache == seg.path_cache
                    for label, seg in smap.segments.items())
         for a, b in itertools.combinations(query_points(smap), 2):
             assert same_plans(plan_cached(smap, a, b, smap.plan_params),
@@ -513,7 +519,7 @@ class TestSphereGraphKernel:
         adj = graph_costs(smap, smap.plan_params)
         tables = 0
         for seg in smap.segments.values():
-            for e, (dist, _) in seg.portal_tables.items():
+            for e, dist in zip(seg.ends, seg.dist):
                 g, _ = best_first(adj, {e: 0.0}, members=seg.members)
                 assert dist.tolist() == [g[m] for m in seg.view.ids.tolist()]
                 tables += 1
@@ -524,7 +530,6 @@ class TestSphereGraphKernel:
         loaded = load_map(save_map(smap))
         for label, seg in smap.segments.items():
             assert same_tables(loaded.segments[label], seg)
-            assert loaded.segments[label].path_cache == seg.path_cache
 
     def test_zero_length_edge_stays_an_edge(self):
         smap = SphereMap(BuildParams(r_exp=1.2, r_merge=2.4))
@@ -538,8 +543,8 @@ class TestSphereGraphKernel:
         # Unit spheres and r_exp = 1.2 give segments {a, b}, {c} and {d}.
         seg = smap.segments[smap.segment_of[a]]
         assert seg.members == {a, b} and len(smap.segments) == 3
-        assert smap.segment_portal_nodes(seg.label) == [a]
-        assert seg.portal_tables[a][0].tolist() == [0.0, 0.0]
+        assert smap.segment_portal_nodes(seg.label) == seg.ends == [a]
+        assert seg.dist.tolist() == [[0.0, 0.0]]
         for restrict in (None, seg.label):
             assert astar_nodes(smap, b, a, PARAMS, restrict) == ([b, a], 0.0)
         assert astar_nodes(smap, b, d, PARAMS)[1] == 2 * smap.adj[c][d]
@@ -548,8 +553,7 @@ class TestSphereGraphKernel:
         for label, seg in smap.segments.items():
             inside = sum(nb in seg.members for m in seg.members for nb in smap.adj[m])
             assert seg.view.graph.nnz == inside
-            for dist, _ in seg.portal_tables.values():
-                assert np.isfinite(dist).all()
+            assert np.isfinite(seg.dist).all()
         res = plan_cached(smap, np.zeros(3), np.array([2.0, 0.0, 0.0]), PARAMS)
         full = astar_sphere_graph(smap, np.zeros(3), np.array([2.0, 0.0, 0.0]), PARAMS)
         assert res.cost == full.cost

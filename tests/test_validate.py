@@ -35,19 +35,18 @@ class TestCheckStructure:
     def test_reports_a_tampered_table_or_cached_path(self, tamper):
         _, smap, _, _ = segmented_two_rooms(2.0, seed=1)
         assert check_structure(smap) == []
-        label = min(label for label, seg in smap.segments.items() if seg.path_cache)
+        label = min(label for label, seg in smap.segments.items() if len(seg.ends) > 1)
         seg = smap.segments[label]
-        (a, b), (path, cost) = min(seg.path_cache.items())
+        at = seg.view.rank(seg.ends[1])  # the path from ends[0] to ends[1]
         if tamper == "table cost":
-            dist = seg.portal_tables[a][0]
-            dist[seg.view.rank(b)] = np.nextafter(dist[seg.view.rank(b)], np.inf)
-            expected = f"table {label}:{a} differs from recomputation"
+            seg.dist[0, at] = np.nextafter(seg.dist[0, at], np.inf)
+            expected = f"table {label} differs from recomputation"
         elif tamper == "cached path":
-            seg.path_cache[(a, b)] = (path[:1] + path[-1:], cost)
-            expected = f"cache {label}:{(a, b)} differs from recomputation"
+            seg.pred[0, at] = -9999  # csgraph's "no predecessor": the path breaks off
+            expected = f"table {label} differs from recomputation"
         else:
-            del seg.portal_tables[b]
-            expected = f"segment {label} table keys mismatch its portal nodes"
+            del seg.ends[1]
+            expected = f"segment {label} table ends mismatch its portal nodes"
         assert expected in check_structure(smap)
 
     @pytest.mark.parametrize("sides", ["both", "one"])

@@ -6,10 +6,11 @@ For each workload of ``<repo-root>/perfbench/workloads.py`` this runs set-up
 and the first pass at seed 1 with the spheremap sources of
 ``<repo-root>/src``, then prints one line of SHA-1 digests:
 
-- ``structure``: nodes, edges, segments, portals and path caches of the
-  pass's map, hashed from the map objects (not from SMAP bytes), so two
-  snapshot formats that hold the same map give the same digest. Segment
-  bounding spheres enter at float32, the precision SMAP keeps;
+- ``structure``: nodes, edges, segments, portals and the optimal paths
+  between each segment's portal endpoints (``portal_paths``) of the pass's
+  map, hashed from the map objects (not from SMAP bytes), so two snapshot
+  formats that hold the same map give the same digest. Segment bounding
+  spheres enter at float32, the precision SMAP keeps;
 - ``loaded``: the same digest of ``load_map(save_map(map))``, and
   ``problems``, the number of ``check_structure`` problems of that map;
 - ``plans``: the cost and waypoints of every plan of set-up and the pass;
@@ -30,6 +31,15 @@ from pathlib import Path
 import numpy as np
 
 
+def portal_paths(seg) -> dict:
+    """{(a, b): (path, cost)} for the segment's portal endpoints a < b, read
+    off its table: the form, and the repr, of the per-segment path cache that
+    earlier map layouts kept, so their digests compare with today's."""
+    at = seg.view.rank(seg.ends)
+    return {(a, b): (tuple(seg.view.unwind(seg.pred[i], at[j])), float(seg.dist[i, at[j]]))
+            for i, a in enumerate(seg.ends) for j, b in enumerate(seg.ends) if i < j}
+
+
 def structure_digest(smap) -> str:
     h = hashlib.sha1()
     for nid in sorted(smap.adj):
@@ -40,7 +50,7 @@ def structure_digest(smap) -> str:
         seg = smap.segments[label]
         center = np.asarray(seg.center, dtype=np.float32).tolist()
         h.update(repr((label, sorted(seg.members), center, float(np.float32(seg.radius)),
-                       sorted(seg.path_cache.items()))).encode())
+                       sorted(portal_paths(seg).items()))).encode())
     for pair in sorted(smap.portals):
         portal = smap.portals[pair]
         h.update(repr((pair, portal.a, portal.b, portal.radius)).encode())
