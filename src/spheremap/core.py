@@ -19,6 +19,7 @@ has a single mutator; planning reads it between iterations.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import geometry, planner
-from .spatial import NodeIndex, ObstacleIndex
+from .spatial import NodeIndex, ObstacleIndex, kdtree, sq_dists
 from .voxelgrid import (FREE, OCCUPIED, OccupancyGrid, UpdateCube, frontier_points,
                         raycast_free, surface_points)
 
@@ -153,6 +154,7 @@ class SphereMap:
         self.mutation_token = 0
         self.map_view = self.meta_graph = None  # planner caches: (key, value)
         self._edge_count = 0
+        self.coverage_pairs = 0  # pairs the coverage rule has tested, a work counter
         self._next_node_id = 0
         self._next_label = 0
 
@@ -214,11 +216,11 @@ class SphereMap:
 
     def _recompute_edges(self, nid: int):
         """Re-derive this node's links (intersection rule) and their costs (one
-        ``transition_cost`` call); return the neighbours' ids, positions and radii."""
+        ``transition_cost`` call); return the neighbours' ids, positions, radii, distances."""
         p, r = self.node_index.row(nid)
         ids, pos, aux, d = self.node_index.query(p, r + self.node_index.max_aux())
         keep = (geometry.intersection_radii(d, r, aux) > self.params.r_min) & (ids != nid)
-        ids, pos, aux = ids[keep], pos[keep], aux[keep]
+        ids, pos, aux, d = ids[keep], pos[keep], aux[keep], d[keep]
         dl, dz = planner.transition_cost(p, r, pos, aux, self.plan_params)
         new = dict(zip(ids.tolist(), (dl + dz).tolist()))
         old = self.adj[nid]
@@ -233,34 +235,40 @@ class SphereMap:
             self._edge_count += len(new) - len(old)
             self.adj[nid] = new
             self.mutation_token += 1
-        return ids, pos, aux
+        return ids, pos, aux, d
 
-    def _covering(self, pts: np.ndarray, radii: np.ndarray, pos: np.ndarray, aux: np.ndarray,
+    def _covering(self, radii: np.ndarray, aux: np.ndarray, pairs, d2: np.ndarray,
                   strict: bool):
-        """The one coverage rule: ``d[i, j]`` is the center distance from
-        query sphere i (``pts[i]``, ``radii[i]``) to sphere j (``pos[j]``,
-        ``aux[j]``), bit-equal to ``NodeIndex.query``'s, if j holds >= kappa
-        of i and is larger (or, not ``strict``, as large), and inf if not.
-        Expansion is not strict, so resampling a spot converges instead of
-        stacking twins. A sphere covers nothing it does not overlap
-        (``d < r + R``), so a squared-reach prefilter, loose by 1e-9, leaves
-        the few pairs worth a ``sqrt`` and a lens volume.
+        """The one coverage rule over index-array pairs ``(i, j)``: the
+        (i, j, d) in which sphere j (radius ``aux[j]``) holds >= kappa of query
+        sphere i (``radii[i]``) and is larger (or, not ``strict``, as large).
+        ``d2`` holds the squared distances as ``spatial.sq_dists`` rounds them,
+        so d is ``NodeIndex.query``'s, bit for bit. Expansion is not strict, so
+        resampling a spot converges instead of stacking twins. Only overlapping
+        pairs (``d < r + R``) cover, so a squared-reach prefilter, loose by
+        1e-9, leaves the pairs worth a ``sqrt`` and a lens volume.
         """
-        d2 = np.zeros((len(pts), len(pos)))
-        for k in (0, 2, 1):  # NodeIndex.query's (dx² + dz²) + dy², bit-equal to einsum
-            delta = pts[:, None, k] - pos[None, :, k]
-            d2 += delta * delta
-        reach = radii[:, None] + aux[None, :]
+        i, j = pairs
+        self.coverage_pairs += len(i)
+        reach = radii[i] + aux[j]
         near = d2 <= reach * reach * (1.0 + 1e-9)
-        near &= (aux[None, :] > radii[:, None]) if strict else (aux[None, :] >= radii[:, None])
-        i, j = np.nonzero(near)
-        d = np.sqrt(d2[i, j])
-        ok = d < reach[i, j]
+        near &= (aux[j] > radii[i]) if strict else (aux[j] >= radii[i])
+        i, j, d = i[near], j[near], np.sqrt(d2[near])
+        ok = d < reach[near]
         i, j, d = i[ok], j[ok], d[ok]
         ok = geometry.coverage_matrix(radii, d, aux, pairs=(i, j)) >= self.params.kappa
-        out = np.full(d2.shape, np.inf)
-        out[i[ok], j[ok]] = d[ok]
-        return out
+        return i[ok], j[ok], d[ok]
+
+    def _reach(self, coverer_r, covered_r: float):
+        """How far, padded by 1e-9 for rounding, from a coverer of radius
+        ``coverer_r`` the centre of a sphere it covers (of radius at most
+        ``covered_r``) can lie. For kappa > 1/2 a coverer holds that centre:
+        were the centre outside it, the plane through the centre facing the
+        coverer would leave the whole coverer on one side, and with it at
+        most half the covered sphere. Otherwise only overlap bounds it."""
+        if self.params.kappa <= 0.5:
+            coverer_r = coverer_r + covered_r
+        return coverer_r * (1.0 + 1e-9)
 
     def is_redundant(self, nid: int) -> bool:
         """True iff a strictly larger live node covers this one."""
@@ -287,7 +295,8 @@ class SphereMap:
         ``index`` may hold only the obstacle surface, which is exact outside
         rock only, so a node whose centre voxel is occupied counts as unsafe.
         """
-        stats = {"removed_unsafe": 0, "removed_redundant": 0, "radius_changed": 0}
+        stats = {"removed_unsafe": 0, "removed_redundant": 0, "radius_changed": 0,
+                 "coverage_pairs": 0}
         ids = sorted(self.nodes_in_cube(cube))
         if not ids:
             return stats
@@ -306,38 +315,43 @@ class SphereMap:
         for nid in changed:
             self._recompute_edges(nid)
         stats["radius_changed"] = len(changed)
+        pairs = self.coverage_pairs
         stats["removed_redundant"] = self._prune_redundant(ids)
+        stats["coverage_pairs"] = self.coverage_pairs - pairs
         return stats
 
-    def _find_coverers(self, pts: np.ndarray, radii: np.ndarray, strict: bool):
+    def _find_coverers(self, pts: np.ndarray, radii: np.ndarray, strict: bool, tree=None):
         """For each query sphere, the nearest covering node and its center
-        distance: (ids, distances), -1 and inf where nothing covers.
+        distance, ties to the lower id: (ids, distances), -1 and inf where
+        nothing covers.
 
-        :meth:`_covering` against all nodes near each chunk's bounding box (a
-        coverer's center lies within the two radii of the query's center). It
-        reads the map as it is now; the caller re-verifies liveness, so a
-        coverer is only a witness.
+        One ``NodeIndex.query`` gathers the nodes around the query set, and a
+        k-d tree over the query centres (``tree``, or one built here; a lone
+        query needs none) pairs each node with the centres within its
+        :meth:`_reach`; :meth:`_covering` decides those pairs. It reads the map
+        as it is now; the caller re-verifies liveness, so a coverer is only a
+        witness.
         """
         out = np.full(len(pts), -1, dtype=np.int64)
         out_d = np.full(len(pts), np.inf)
         if not len(pts) or not len(self.node_index):
             return out, out_d
-        bound = self.node_index.max_aux()
-        # Chunks of the candidate scan are spatially coherent, so each chunk
-        # only needs the nodes around its own bounding box.
-        for s in range(0, len(pts), 512):
-            e = min(s + 512, len(pts))
-            lo, hi = pts[s:e].min(axis=0), pts[s:e].max(axis=0)
-            center = (lo + hi) / 2.0
-            reach = float(np.linalg.norm(hi - lo)) / 2.0 + bound + float(radii[s:e].max())
-            ids, pos, aux, _ = self.node_index.query(center, reach)
-            if not len(ids):
-                continue
-            d = self._covering(pts[s:e], radii[s:e], pos, aux, strict)
-            near = d.argmin(axis=1)
-            out_d[s:e] = d[np.arange(e - s), near]
-            hit = out_d[s:e] < np.inf
-            out[s:e][hit] = ids[near[hit]]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        r_max = float(radii.max())
+        reach = float(np.linalg.norm(hi - lo)) / 2.0 + self._reach(self.node_index.max_aux(), r_max)
+        ids, pos, aux, dist = self.node_index.query((lo + hi) / 2.0, reach)
+        ball = self._reach(aux, r_max)
+        if len(pts) == 1:  # a lone query: NodeIndex.query measured each pair
+            i, j = np.nonzero((dist <= ball)[None, :])
+        else:
+            tree = kdtree(pts) if tree is None else tree
+            hits = tree.query_ball_point(pos, ball, return_sorted=False)
+            j = np.repeat(np.arange(len(ids)), [len(h) for h in hits])
+            i = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=len(j))
+        i, j, d = self._covering(radii, aux, (i, j), sq_dists(pts[i], pos[j]), strict)
+        order = np.lexsort((ids[j], d, i))
+        first = order[np.unique(i[order], return_index=True)[1]]
+        out[i[first]], out_d[i[first]] = ids[j[first]], d[first]
         return out, out_d
 
     def _prune_redundant(self, ids) -> int:
@@ -403,15 +417,16 @@ class SphereMap:
         (:meth:`_covering`, not strict).
 
         One ``_find_coverers`` sweep gives each candidate a witness, and each
-        added sphere becomes the witness of the later candidates it covers
-        (only those it overlaps can be covered, so only they are tested).
-        The loop only adds and removes nodes, so only a candidate whose
-        witness has died needs a query. A sweep witness at distance 0.0 is a
-        twin (a node on the candidate's position, no smaller): it rules the
-        candidate out even after this loop removes it, which catches nearly
-        every lattice candidate of a converged cube.
+        added sphere becomes the witness of the later candidates it covers,
+        read off the sweep's candidate tree within its :meth:`_reach`. The
+        loop only adds and removes nodes, so only a candidate whose witness
+        has died needs a query. A sweep witness at distance 0.0 is a twin (a
+        node on the candidate's position, no smaller): it rules the candidate
+        out even after this loop removes it, which catches nearly every
+        lattice candidate of a converged cube.
         """
-        stats = {"candidates": 0, "added": 0, "removed_redundant": 0}
+        stats = {"candidates": 0, "added": 0, "removed_redundant": 0, "coverage_pairs": 0}
+        pairs = self.coverage_pairs
         cands = self._sample_candidates(grid, cube, uav)
         stats["candidates"] = len(cands)
         cands = np.asarray(np.asarray(cands, dtype=np.float32), dtype=float)
@@ -419,8 +434,10 @@ class SphereMap:
         radii = np.asarray(np.asarray(radii, dtype=np.float32), dtype=float)
         order = radii >= self.params.r_min
         cands, radii = cands[order], radii[order]
-        witness, witness_d = self._find_coverers(cands, radii, strict=False)
-        added_ids = []
+        tree = kdtree(cands)
+        witness, witness_d = self._find_coverers(cands, radii, strict=False, tree=tree)
+        r_max = float(radii.max(initial=0.0))
+        added = []
         for i, p in enumerate(cands):
             wit, r = int(witness[i]), radii[i:i + 1]
             if witness_d[i] == 0.0 or wit in self.node_index:
@@ -428,27 +445,30 @@ class SphereMap:
             if wit >= 0 and self._find_coverers(p[None, :], r, strict=False)[0][0] >= 0:
                 continue
             nid = self._add_node(p, r[0])
-            added_ids.append(nid)
-            delta = cands[i + 1:] - p
-            near = i + 1 + np.flatnonzero(np.sqrt(np.vecdot(delta, delta)) < r[0] + radii[i + 1:])
-            later = self._covering(cands[near], radii[near], p[None, :], r, strict=False)
-            witness[near[later[:, 0] < np.inf]] = nid
+            added.append((nid, p, r[0]))
+            near = np.array(tree.query_ball_point(p, self._reach(r[0], r_max)), dtype=np.int64)
+            near = near[near > i]
+            pair = (near, np.zeros_like(near))
+            witness[self._covering(radii, r, pair, sq_dists(cands[near], p), strict=False)[0]] = nid
             # Only the fresh sphere can have made a surviving neighbor
-            # redundant, so a pairwise coverage check suffices.
-            nbrs, nbr_p, nbr_r = self._recompute_edges(nid)
-            covered = self._covering(nbr_p, nbr_r, p[None, :], r, strict=True)[:, 0] < np.inf
-            for nb in sorted(int(j) for j in nbrs[covered]):
+            # redundant, so a pairwise coverage check suffices; sqrt(d * d)
+            # is d in binary floating point, so the distances carry over.
+            nbrs, _, nbr_r, nbr_d = self._recompute_edges(nid)
+            pair = (np.arange(len(nbrs)), np.zeros_like(nbrs))
+            covered, _, _ = self._covering(nbr_r, r, pair, nbr_d * nbr_d, strict=True)
+            for nb in sorted(nbrs[covered].tolist()):
                 self._remove_node(nb)
                 stats["removed_redundant"] += 1
             stats["added"] += 1
-        # New spheres are the only fresh coverage sources, and a coverer must
-        # contain the covered center: sweeping nodes inside added spheres
-        # restores cube-wide redundancy-freeness.
+        # New spheres are the only fresh coverage sources, and a node one
+        # covers strictly is smaller and centred within its _reach: sweeping
+        # those nodes restores cube-wide redundancy-freeness.
         suspects: set[int] = set()
-        for nid in added_ids:
+        for nid, p, r in added:
             if nid in self.node_index:
-                suspects.update(self.node_index.within_radius(*self.node_index.row(nid)))
+                suspects.update(self.node_index.within_radius(p, self._reach(r, r)))
         stats["removed_redundant"] += self._prune_redundant(suspects)
+        stats["coverage_pairs"] = self.coverage_pairs - pairs
         return stats
 
     # ------------------------------------------------------------------

@@ -10,14 +10,18 @@ store: each live node's centre and radius live only in its packed row. Its
 radius queries are one vectorized scan over every live row: exact by
 construction, ties broken by lower id, and O(live rows) each.
 
-Every k-d tree of the package comes from :func:`kdtree`, in one fixed
-configuration: scipy's sliding-midpoint split (``balanced_tree=False``,
-Maneewongvatana and Mount, "It's okay to be skinny, if your friends are
-fat", 1999), node boxes bounded by the split planes (``compact_nodes=False``)
-and ``LEAF_SIZE`` points per leaf; the points are voxel centres on a
-lattice. Against scipy's default tree on a 2-CPU x86-64 box, the 51 trees
-of one maze-sweep benchmark pass built in 0.67 s instead of 1.90 s, and a
-96 m maze's whole-grid tree (2.6 M points) built 3.2-3.5x faster, answered
+Every k-d tree of the package comes from :func:`kdtree`: the obstacle
+index, ``ltv._cluster_goals``' tree over frontier goals, and the candidate
+tree over the query centres of each redundancy check
+(``SphereMap._find_coverers``; ``expand`` also scans it for the later
+candidates an added sphere covers). It has one fixed configuration:
+scipy's sliding-midpoint split (``balanced_tree=False``, Maneewongvatana
+and Mount, "It's okay to be skinny, if your friends are fat", 1999), node
+boxes bounded by the split planes (``compact_nodes=False``) and
+``LEAF_SIZE`` points per leaf; most points are voxel centres on a lattice.
+Against scipy's default tree on a 2-CPU x86-64 box, the 51 trees of one
+maze-sweep benchmark pass built in 0.67 s instead of 1.90 s, and a 96 m
+maze's whole-grid tree (2.6 M points) built 3.2-3.5x faster, answered
 2.5 M queries 12-26% faster and took 60 MB instead of 77 MB.
 ``tools/kdprobe.py`` re-measures the choice on a benchmark workload.
 
@@ -45,6 +49,16 @@ _EMPTY_QUERY = (np.empty(0, dtype=np.int64), np.empty((0, 3)), np.empty(0), np.e
 # passes (tools/kdprobe.py), 32, 64 and 128 came within 9-16% of each other;
 # 16, scipy's default, took 16-21% more than 64.
 LEAF_SIZE = 64
+
+
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances from the rows of ``a`` to ``b`` (one point, or one
+    row per row of ``a``), rounded (dx² + dz²) + dy² as ``np.einsum("ij,ij->i")``
+    rounds them, at twice its speed. Every node distance is this sum's root."""
+    dx, dy, dz = (a[:, k] - b[..., k] for k in range(3))
+    d2 = dx * dx + dz * dz
+    d2 += dy * dy
+    return d2
 
 
 def kdtree(points: np.ndarray) -> cKDTree:
@@ -163,12 +177,7 @@ class NodeIndex:
         n = len(self._slot)
         if radius < 0 or not n:
             return _EMPTY_QUERY
-        pos, q = self._pos[:n], np.asarray(q, dtype=float)
-        dx, dy, dz = pos[:, 0] - q[0], pos[:, 1] - q[1], pos[:, 2] - q[2]
-        # Twice as fast as np.einsum("ij,ij->i") and bit-equal to it: einsum
-        # rounds a row as (dx² + dz²) + dy², so the maps do not change.
-        d2 = dx * dx + dz * dz
-        d2 += dy * dy
+        d2 = sq_dists(self._pos[:n], np.asarray(q, dtype=float))
         rows = np.flatnonzero(d2 <= radius * radius)
         if not len(rows):
             return _EMPTY_QUERY

@@ -95,8 +95,6 @@ def test_criterion_3_speed_ordering(maze_scenario, maze_map):
               f"grid A* {mean['grid']*1e3:.0f} ms; full/cached {ratio_fc:.0f}x (>=50), "
               f"grid/full {ratio_gf:.0f}x (>=50); cached total = "
               f"{100*total_ratio:.2f}% of grid total; found {found}")
-    ok = (ratio_fc >= 50.0 and ratio_gf >= 50.0
-          and found["cached"] == found["attempted"] if "attempted" in found else True)
     ok = ratio_fc >= 50.0 and ratio_gf >= 50.0 and total_ratio < 0.01
     ok = ok and rows["cached"]["found"] == rows["cached"]["attempted"]
     ok = ok and rows["full-graph"]["found"] == rows["full-graph"]["attempted"]

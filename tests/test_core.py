@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremap import (FREE, OCCUPIED, UNKNOWN, BuildParams, ObstacleIndex, OccupancyGrid,
                        Segment, SphereMap, UpdateCube, check_all, load_map, plan_cached,
@@ -187,11 +189,75 @@ class TestCoverageRule:
     def test_recompute_edges_returns_the_neighbours(self, seed):
         smap, _ = random_map(seed)
         for nid in sorted(smap.adj):
-            ids, pos, radii = smap._recompute_edges(nid)
+            ids, pos, radii, dists = smap._recompute_edges(nid)
             assert set(ids.tolist()) == set(smap.adj[nid])
             assert len(ids) == len(smap.adj[nid])
             assert pos.tolist() == [smap.node_index.row(int(i))[0].tolist() for i in ids]
             assert radii.tolist() == [smap.node_index.row(int(i))[1] for i in ids]
+            p = smap.node_index.row(nid)[0]
+            assert dists.tolist() == [float(np.sqrt(np.einsum("i,i", q - p, q - p))) for q in pos]
+
+
+@st.composite
+def surface_probes(draw):
+    """kappa, lattice spheres and probes on their surfaces or an eighth of a
+    metre beyond: half-metre centres and eighth-metre radii add without
+    rounding, so a surface probe lies exactly ``aux`` from its sphere."""
+    kappa = draw(st.sampled_from([0.3, 0.5, 0.51, 0.6, 0.9]))
+    coord = st.integers(-6, 6).map(lambda k: k / 2)
+    centre = st.tuples(coord, coord, coord)
+    nodes = draw(st.lists(st.tuples(centre, st.integers(8, 24).map(lambda k: k / 8)),
+                          min_size=1, max_size=8))
+    probes = []
+    for c, big in nodes:
+        p = list(c)
+        axis, sign = draw(st.integers(0, 2)), draw(st.sampled_from([-1.0, 1.0]))
+        p[axis] += sign * (big + draw(st.sampled_from([0.0, 0.125])))
+        probes.append((p, draw(st.integers(1, int(big * 8)).map(lambda k: k / 8))))
+    return kappa, nodes, probes, draw(st.booleans())
+
+
+class TestPairKernel:
+    """The pairs ``_find_coverers`` tests reach every coverer the oracle finds."""
+
+    @settings(max_examples=400)
+    @given(surface_probes())
+    def test_surface_probes_agree_with_the_oracle(self, case):
+        kappa, nodes, probes, strict = case
+        smap = make_map(kappa=kappa)
+        for c, big in nodes:
+            add_node(smap, c, big)
+        pts = np.array([p for p, _ in probes])
+        radii = np.array([r for _, r in probes])
+        ids, dists = smap._find_coverers(pts, radii, strict=strict)
+        expected = [nearest_coverer(smap, p, r, strict) for p, r in probes]
+        assert ids.tolist() == [-1 if nid is None else nid for nid, _ in expected]
+        assert dists.tolist() == [d for _, d in expected]
+
+    def test_equidistant_coverers_resolve_to_the_lower_id(self):
+        # The query set's centre (-1.5, 0, 0) lies nearer the higher id, so
+        # only the (distance, id) order picks the lower one for the first probe.
+        smap = make_map(kappa=0.6)
+        low = add_node(smap, (1.0, 0.0, 0.0), 3.0)
+        high = add_node(smap, (-1.0, 0.0, 0.0), 3.0)
+        pts = np.array([[0.0, 0.0, 0.0], [-3.0, 0.0, 0.0]])
+        ids, dists = smap._find_coverers(pts, np.array([1.0, 0.5]), strict=True)
+        assert ids.tolist() == [low, high]
+        assert dists.tolist() == [1.0, 2.0]
+        assert nearest_coverer(smap, pts[0], 1.0, True) == (low, 1.0)
+
+    def test_added_sphere_sweeps_a_node_it_covers_without_holding_its_centre(self):
+        # At kappa 0.3 the added sphere (r 8 at the origin) holds 0.469 of the
+        # node (r 0.8, centre 8.0136 m away) but not its centre, and their
+        # intersection circle (r 0.798) is below r_min, so they share no edge.
+        smap = make_map(kappa=0.3, r_cap=8.0)
+        nid = add_node(smap, (8.0136, 0.0, 0.0), 0.8)
+        smap._sample_candidates = lambda *args: np.zeros((1, 3))
+        index = ObstacleIndex(np.array([[0.0, 0.0, -20.0]]))
+        stats = smap.expand(index, open_space(), UpdateCube((0, 0, 0), 8.0), np.zeros(3))
+        assert (stats["added"], stats["removed_redundant"]) == (1, 1)
+        assert nid not in smap.node_index
+        assert not any(smap.is_redundant(n) for n in smap.adj)
 
 
 class TestRecomputeAndPrune:
@@ -289,6 +355,20 @@ class TestUpdateIteration:
         rep = smap.update_iteration(small_room, np.array([4.0, 4.0, 1.5]))
         assert rep.counters["segment.created"] >= 1
         assert rep.counters["segment.caches_rebuilt"] == rep.segment_count == len(smap.segments)
+
+    def test_coverage_pairs_count_the_pairs_the_rule_tests(self, small_room):
+        smap = make_map()
+        tested = []
+        covering = smap._covering
+        smap._covering = lambda radii, aux, pairs, *rest, **kw: (
+            tested.append(len(pairs[0])) or covering(radii, aux, pairs, *rest, **kw))
+        uav = np.array([4.0, 4.0, 1.5])
+        for _ in range(2):
+            tested.clear()
+            rep = smap.update_iteration(small_room, uav)
+            assert (rep.counters["prune.coverage_pairs"] + rep.counters["expand.coverage_pairs"]
+                    == sum(tested) > 0)
+        assert rep.counters["prune.coverage_pairs"] > 0
 
     def test_report_counters_equal_step_stats(self, monkeypatch):
         grid, c1, c2, _ = two_rooms_with_corridor(room=6.0, corridor_len=8.0)
