@@ -2,7 +2,7 @@
 
 from .core import BuildParams, IterationReport, Portal, Segment, SphereMap
 from .errors import BadMagicError, ConfigError, ParseError, PayloadError, TruncatedError
-from .geometry import enclosing_sphere, intersection_radius
+from .geometry import enclosing_sphere
 from .ltv import (LtvMap, LtvSegment, decode, encode, encoded_size, extract,
                   fit_box, misclassified_fraction, size_report)
 from .mission import (MissionResult, MissionTrace, build_spheremap, reveal,

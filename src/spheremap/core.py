@@ -8,7 +8,9 @@ their step costs (priced by ``_recompute_edges``) in ``adj`` and its segment
 label in ``segment_of``. The sparse layer partitions the nodes into roughly
 convex segments joined by portals; each segment keeps one planning table, a
 CSR view of its edges and the csgraph Dijkstra rows from its portal
-endpoints, so a rebuild reads only the segment's own edges.
+endpoints, so a rebuild reads only the segment's own edges. Every mutation
+adds the labels whose members, links or portals it touched to the map's one
+``altered`` set, and rebuilding a segment's table takes its label out again.
 
 One ``update_iteration`` mutates only the cube around the vehicle, in three
 steps: radius recomputation + pruning, expansion by sampling, then
@@ -99,7 +101,6 @@ class Segment:
     ends: list[int] = field(default_factory=list)
     dist: np.ndarray | None = None
     pred: np.ndarray | None = None
-    altered: bool = True
 
 
 @dataclass
@@ -147,6 +148,7 @@ class SphereMap:
         self.segment_of: dict[int, int | None] = {}
         self.segments: dict[int, Segment] = {}
         self.portals: dict[tuple[int, int], Portal] = {}
+        self.altered: set[int] = set()  # live labels whose table is stale
         self.frontiers = np.empty((0, 3))
         self.seed = seed
         self.rng = np.random.default_rng(seed)
@@ -192,7 +194,7 @@ class SphereMap:
     def _mark_altered(self, nid: int) -> None:
         label = self.segment_of[nid]
         if label is not None:
-            self.segments[label].altered = True
+            self.altered.add(label)
 
     def _remove_node(self, nid: int) -> None:
         label = self.segment_of.pop(nid)
@@ -204,7 +206,7 @@ class SphereMap:
         if label is not None:
             seg = self.segments[label]
             seg.members.discard(nid)
-            seg.altered = True
+            self.altered.add(label)
             if not seg.members:
                 self._drop_segment(label)
         self.mutation_token += 1
@@ -236,6 +238,14 @@ class SphereMap:
             self.adj[nid] = new
             self.mutation_token += 1
         return ids, pos, aux, d
+
+    def link_radii(self, a_ids, b_ids) -> np.ndarray:
+        """Intersection radius of each node pair (a_ids[k], b_ids[k]), from one
+        gather per side: the bits ``_recompute_edges`` compares with ``r_min``,
+        as ``sq_dists`` rounds the distance either way round."""
+        pa, ra = self.node_index.rows(a_ids)
+        pb, rb = self.node_index.rows(b_ids)
+        return geometry.intersection_radii(np.sqrt(sq_dists(pa, pb)), ra, rb)
 
     def _covering(self, radii: np.ndarray, aux: np.ndarray, pairs, d2: np.ndarray,
                   strict: bool):
@@ -475,30 +485,34 @@ class SphereMap:
     # step 3: segmentation
     # ------------------------------------------------------------------
 
-    def _new_label(self) -> int:
+    def _new_segment(self, members: set[int], center, radius: float) -> int:
+        """A fresh label over ``members``, altered until its table is built."""
         label = self._next_label
         self._next_label += 1
+        self.segments[label] = Segment(label, members, center, radius)
+        for nid in members:
+            self.segment_of[nid] = label
+        self.altered.add(label)
         return label
 
     def _drop_segment(self, label: int) -> None:
         del self.segments[label]
+        self.altered.discard(label)
         for pair in [p for p in self.portals if label in p]:
-            other = pair[0] if pair[1] == label else pair[1]
             del self.portals[pair]
-            if other in self.segments:
-                self.segments[other].altered = True
+            self.altered.add(pair[0] if pair[1] == label else pair[1])
 
     def _refresh_bounds(self, label: int) -> None:
         seg = self.segments[label]
         seg.center, seg.radius = geometry.enclosing_sphere(
             *self.node_index.rows(sorted(seg.members)))
 
-    def _split_disconnected(self, labels) -> list[int]:
+    def _split_disconnected(self) -> list[int]:
+        """Split each altered segment (only a mutation unlinks members) into
+        its connected components; the largest keeps the label."""
         created = []
-        for label in sorted(labels):
-            seg = self.segments.get(label)
-            if seg is None or not seg.altered:  # nothing unlinked a member
-                continue
+        for label in sorted(self.altered):
+            seg = self.segments[label]
             view = planner.graph_view(self, seg.members)
             # A view is symmetric: strong components are connected ones.
             count, comp_of = connected_components(view.graph, connection="strong")
@@ -507,13 +521,7 @@ class SphereMap:
             comps = [set(view.ids[comp_of == k].tolist()) for k in range(count)]
             comps.sort(key=lambda c: (-len(c), min(c)))
             seg.members = comps[0]
-            seg.altered = True
-            for comp in comps[1:]:
-                new = self._new_label()
-                self.segments[new] = Segment(new, comp, np.zeros(3), 0.0)
-                for nid in comp:
-                    self.segment_of[nid] = new
-                created.append(new)
+            created += [self._new_segment(comp, np.zeros(3), 0.0) for comp in comps[1:]]
             self._refresh_bounds(label)
         for label in created:
             self._refresh_bounds(label)
@@ -553,7 +561,7 @@ class SphereMap:
             center, radius = new_center, new_radius
             seg.members.add(nid)
             self.segment_of[nid] = label
-            seg.altered = True
+            self.altered.add(label)
             offer(self.adj[nid])
         seg.center, seg.radius = center, radius
 
@@ -581,37 +589,34 @@ class SphereMap:
             self.segment_of[nid] = target
         seg_t.members |= seg_s.members
         seg_t.center, seg_t.radius = bounds
-        seg_t.altered = True
+        self.altered.add(target)
         self._drop_segment(source)
 
-    def _recompute_portals(self, label: int, cache_dirty: set[int]) -> None:
-        """Widest edge to each adjacent segment. Ties go to the lowest
-        (a, b), ``a`` in the lower label, so both sides pick the same edge."""
+    def _recompute_portals(self, label: int) -> None:
+        """Widest edge to each adjacent segment, priced by one :meth:`link_radii`
+        call. Ties go to the lowest (a, b), ``a`` in the lower label, so both
+        sides pick the same edge. A changed or dropped portal alters both
+        segments."""
         edges = [(a, b, self.segment_of[b]) for a in sorted(self.segments[label].members)
                  for b in sorted(self.adj[a]) if self.segment_of[b] not in (None, label)]
-        pa, ra = self.node_index.rows([a for a, _, _ in edges])
-        pb, rb = self.node_index.rows([b for _, b, _ in edges])
+        radii = self.link_radii([a for a, _, _ in edges], [b for _, b, _ in edges]).tolist()
         best: dict[int, tuple[float, int, int]] = {}
-        for (nid, nb, other), p1, r1, p2, r2 in zip(edges, pa, ra.tolist(), pb, rb.tolist()):
-            ir = geometry.intersection_radius(p1, r1, p2, r2)
+        for (nid, nb, other), ir in zip(edges, radii):
             a, b = (nid, nb) if label < other else (nb, nid)
             cur = best.get(other)
             if cur is None or ir > cur[0] or (ir == cur[0] and (a, b) < cur[1:]):
                 best[other] = (ir, a, b)
         stale = [pair for pair in self.portals if label in pair]
         for pair in stale:
-            other = pair[0] if pair[1] == label else pair[1]
-            if other not in best:
+            if (pair[0] if pair[1] == label else pair[1]) not in best:
                 del self.portals[pair]
-                cache_dirty.add(other)
+                self.altered.update(pair)
         for other, (ir, a, b) in best.items():
             pair = (label, other) if label < other else (other, label)
-            new = Portal(a, b, ir)
             old = self.portals.get(pair)
             if old is None or (old.a, old.b) != (a, b) or old.radius != ir:
-                self.portals[pair] = new
-                cache_dirty.add(other)
-                cache_dirty.add(label)
+                self.portals[pair] = Portal(a, b, ir)
+                self.altered.update(pair)
 
     def segment_portal_nodes(self, label: int) -> list[int]:
         """Node ids of this segment's portal endpoints, sorted."""
@@ -635,24 +640,18 @@ class SphereMap:
     def _rebuild_cache(self, label: int) -> None:
         seg = self.segments[label]
         seg.view, seg.ends, seg.dist, seg.pred = self._portal_tables(label)
-        seg.altered = False
+        self.altered.discard(label)
 
     def segment_update(self, grid: OccupancyGrid, cube: UpdateCube, added=()) -> dict:
         stats = {"split": 0, "created": 0, "merged": 0, "caches_rebuilt": 0, "edges_read": 0}
         # Split and growth neither add nor remove nodes: one query serves both.
         in_cube = self.nodes_in_cube(cube)
-        cube_labels = {self.segment_of[i] for i in in_cube}
-        cube_labels.discard(None)
-        near = set(cube_labels) | {l for l, s in self.segments.items() if s.altered}
-
-        created = self._split_disconnected(near)
-        stats["split"] = len(created)
-        near |= set(created)
+        stats["split"] = len(self._split_disconnected())
+        near = {self.segment_of[i] for i in in_cube} - {None} | self.altered
 
         # Grow existing segments over unassigned nodes, then seed new ones.
         for label in sorted(near):
-            if label in self.segments:
-                self._grow_segment(label)
+            self._grow_segment(label)
         # Seeds: unlabelled nodes of the cube and of ``added``, the ids expand
         # added, since float32 can round one of those just outside the cube.
         unassigned = sorted(i for i in {*in_cube, *added}
@@ -662,9 +661,7 @@ class SphereMap:
             nid = unassigned[k]
             if self.segment_of[nid] is not None:
                 continue
-            label = self._new_label()
-            self.segments[label] = Segment(label, {nid}, *self.node_index.row(nid))
-            self.segment_of[nid] = label
+            label = self._new_segment({nid}, *self.node_index.row(nid))
             self._grow_segment(label)
             near.add(label)
             stats["created"] += 1
@@ -679,8 +676,6 @@ class SphereMap:
 
         pairs = set()
         for label in sorted(near):
-            if label not in self.segments:
-                continue
             for other in self._adjacent_labels(label):
                 pairs.add((min(label, other), max(label, other)))
         for s1, s2 in sorted(pairs):
@@ -695,17 +690,15 @@ class SphereMap:
             merged_into[source] = target
             stats["merged"] += 1
 
-        # Portals for every altered segment, then caches: a new meta-graph.
+        # Portals for every altered segment, then the tables of every segment
+        # altered by now, the far sides of changed portals too: a new meta-graph.
         self.mutation_token += 1
-        dirty = sorted(l for l, s in self.segments.items() if s.altered)
-        cache_dirty: set[int] = set(dirty)
-        for label in dirty:
-            self._recompute_portals(label, cache_dirty)
-        for label in sorted(cache_dirty):
-            if label in self.segments:
-                self._rebuild_cache(label)
-                stats["edges_read"] += self.segments[label].view.read
-                stats["caches_rebuilt"] += 1
+        for label in sorted(self.altered):
+            self._recompute_portals(label)
+        for label in sorted(self.altered):
+            self._rebuild_cache(label)
+            stats["edges_read"] += self.segments[label].view.read
+            stats["caches_rebuilt"] += 1
         return stats
 
     # ------------------------------------------------------------------

@@ -1,34 +1,22 @@
-"""Sphere-pair geometry used by the graph edge rule and redundancy pruning."""
+"""Sphere-pair geometry used by the graph edge rule and redundancy pruning.
+
+The link rule has one kernel, :func:`intersection_radii`: edges, portals and
+the validator price sphere pairs with it, fed by ``SphereMap.link_radii``.
+"""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 
-def intersection_radius(p1, r1: float, p2, r2: float) -> float:
-    """Radius of the circle where two sphere surfaces intersect.
+def intersection_radii(d: np.ndarray, r1, r2: np.ndarray) -> np.ndarray:
+    """Radius of the circle where two sphere surfaces intersect, for centre
+    distances ``d``, radii ``r1`` (broadcast to ``d``) and ``r2``.
 
     Disjoint or externally tangent spheres give 0; when one sphere contains
     the other the smaller radius is returned. The larger radius goes first
     in the formula, so swapping the two spheres gives the same bits.
     """
-    d = float(np.linalg.norm(np.asarray(p1, dtype=float) - np.asarray(p2, dtype=float)))
-    if r1 < r2:
-        r1, r2 = r2, r1
-    if d >= r1 + r2:
-        return 0.0
-    if d <= r1 - r2:
-        return r2
-    val = 4.0 * d * d * r1 * r1 - (d * d - r2 * r2 + r1 * r1) ** 2
-    if val <= 0.0:
-        return 0.0
-    return math.sqrt(val) / (2.0 * d)
-
-
-def intersection_radii(d: np.ndarray, r1, r2: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`intersection_radius` for center distances ``d``."""
     d = np.asarray(d, dtype=float)
     r1 = np.broadcast_to(np.asarray(r1, dtype=float), d.shape)
     r2 = np.asarray(r2, dtype=float)
@@ -72,15 +60,12 @@ def covered_fractions(r: float, d: np.ndarray, r_other: np.ndarray) -> np.ndarra
 
 
 def coverage_matrix(r_small: np.ndarray, d: np.ndarray, r_big: np.ndarray,
-                    pairs=None) -> np.ndarray:
-    """fractions[i, j]: coverage of sphere i (radius r_small[i]) by sphere j,
-    given the center-distance matrix d of shape (len(r_small), len(r_big)).
-    With ``pairs = (i, j)`` index arrays, only those entries: ``d`` holds
-    their distances and the result their fractions, bit-equal to the matrix's."""
+                    pairs) -> np.ndarray:
+    """Coverage of sphere i (radius ``r_small[i]``) by sphere j (``r_big[j]``)
+    for each index pair of ``pairs = (i, j)``, whose centre distances ``d``
+    holds: one fraction per pair, as :func:`covered_fractions` gives it."""
     r_small, r_big = np.asarray(r_small, dtype=float), np.asarray(r_big, dtype=float)
-    if pairs is not None:
-        return _coverage(r_small[pairs[0]], d, r_big[pairs[1]])
-    return _coverage(r_small[:, None], d, r_big[None, :])
+    return _coverage(r_small[pairs[0]], d, r_big[pairs[1]])
 
 
 def ritter_step(center: np.ndarray, radius: float, p: np.ndarray, r: float):

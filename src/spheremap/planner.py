@@ -238,12 +238,10 @@ def _unwind(came, target) -> list:
     return path
 
 
-def astar_nodes(smap, start_id: int, goal_id: int, params: PlannerParams,
-                restrict=None) -> tuple[list[int], float] | None:
-    """Optimal node-id path between two sphere nodes (optionally one segment)."""
-    view = (_map_view(smap, params) if restrict is None
-            else graph_view(smap, smap.segments[restrict].members, params))
-    return _route(view, start_id, goal_id)
+def astar_nodes(smap, start_id: int, goal_id: int,
+                params: PlannerParams) -> tuple[list[int], float] | None:
+    """Optimal node-id path between two sphere nodes over the whole graph."""
+    return _route(_map_view(smap, params), start_id, goal_id)
 
 
 def _finish_sphere_result(smap, node_path, start, goal, s_margin, g_margin,

@@ -138,7 +138,7 @@ def load_map(data: bytes) -> SphereMap:
         if connected_components(graph_view(smap, seg.members).graph, connection="strong")[0] != 1:
             raise PayloadError(f"segment {label} is empty or not connected")
     for label in sorted(smap.segments):
-        smap._recompute_portals(label, set())
+        smap._recompute_portals(label)
     for label in sorted(smap.segments):
         smap._rebuild_cache(label)
     return smap

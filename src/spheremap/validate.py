@@ -3,17 +3,18 @@
 Used by tests and the benchmark harness at mission checkpoints. Every check
 returns human-readable violation strings; an empty list means the invariant
 suite passed. Checks are exact (no tolerances) except the clearance check,
-which allows the configured radius tolerance.
+which allows the configured radius tolerance. The link rule, edge costs,
+planning tables and coverage are recomputed with the kernels that built the
+map (``SphereMap.link_radii``, ``transition_cost``, ``_portal_tables``,
+``_find_coverers``), so a reported problem is never a rounding disagreement
+between two copies of one formula.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from . import geometry
 from .planner import graph_view, transition_cost
 from .spatial import ObstacleIndex
 from .voxelgrid import OccupancyGrid, grid_obstacles
@@ -43,26 +44,23 @@ def check_structure(smap) -> list[str]:
             problems.append(f"node {nid} radius {r} below r_min")
 
     edges = list(smap.edges())
-    for (a, b), pa, ra, pb, rb in _edge_rows(smap, edges):
-        if not geometry.intersection_radius(pa, ra, pb, rb) > r_min:
-            problems.append(f"edge ({a}, {b}) violates the intersection rule")
-    dl, dz = transition_cost(*smap.node_index.rows([a for a, _ in edges]),
-                             *smap.node_index.rows([b for _, b in edges]), smap.plan_params)
+    a_ids, b_ids = [a for a, _ in edges], [b for _, b in edges]
+    link = dict(zip(edges, smap.link_radii(a_ids, b_ids).tolist()))
+    problems += [f"edge ({a}, {b}) violates the intersection rule"
+                 for (a, b), ir in link.items() if not ir > r_min]
+    dl, dz = transition_cost(*smap.node_index.rows(a_ids), *smap.node_index.rows(b_ids),
+                             smap.plan_params)
     problems += [f"edge ({a}, {b}) cost differs from recomputation"
                  for (a, b), w in zip(edges, (dl + dz).tolist()) if smap.adj[a][b] != w]
 
     cube = smap.last_cube
     if cube is not None:
-        ids = sorted(smap.nodes_in_cube(cube))
-        pos, radii = smap.node_index.rows(ids)
-        radii = radii.tolist()
-        for (i, a), (j, b) in combinations(enumerate(ids), 2):
-            if b in smap.adj[a]:
-                continue
-            d = float(np.linalg.norm(pos[i] - pos[j]))
-            if d < radii[i] + radii[j]:
-                if geometry.intersection_radius(pos[i], radii[i], pos[j], radii[j]) > r_min:
-                    problems.append(f"missing edge ({a}, {b}) inside update cube")
+        ids = np.array(sorted(smap.nodes_in_cube(cube)), dtype=np.int64)
+        i, j = np.triu_indices(len(ids), 1)
+        linked = smap.link_radii(ids[i], ids[j]) > r_min
+        problems += [f"missing edge ({a}, {b}) inside update cube"
+                     for a, b in zip(ids[i[linked]].tolist(), ids[j[linked]].tolist())
+                     if b not in smap.adj[a]]
 
     assigned: set[int] = set()
     for label, seg in smap.segments.items():
@@ -88,12 +86,11 @@ def check_structure(smap) -> list[str]:
 
     # Portals: one per adjacent pair, endpoints consistent, radius maximal.
     best: dict[tuple[int, int], float] = {}
-    for (a, b), pa, ra, pb, rb in _edge_rows(smap, edges):
+    for (a, b), ir in link.items():
         sa, sb = label_of[a], label_of[b]
         if sa is None or sb is None or sa == sb:
             continue
         pair = (sa, sb) if sa < sb else (sb, sa)
-        ir = geometry.intersection_radius(pa, ra, pb, rb)
         if ir > best.get(pair, -1.0):
             best[pair] = ir
     for pair, portal in smap.portals.items():
@@ -105,11 +102,10 @@ def check_structure(smap) -> list[str]:
             continue
         if label_of[portal.a] != pair[0] or label_of[portal.b] != pair[1]:
             problems.append(f"portal {pair} endpoints in wrong segments")
-        if portal.b not in smap.adj.get(portal.a, {}):
+        ir = link.get((min(portal.a, portal.b), max(portal.a, portal.b)))
+        if ir is None:
             problems.append(f"portal {pair} endpoints are not connected")
-        ir = geometry.intersection_radius(*smap.node_index.row(portal.a),
-                                          *smap.node_index.row(portal.b))
-        if ir < best[pair]:
+        elif ir < best[pair]:
             problems.append(f"portal {pair} is not maximal ({ir} < {best[pair]})")
     for pair in best:
         if pair not in smap.portals:
@@ -118,9 +114,8 @@ def check_structure(smap) -> list[str]:
     # Tables: a view of the segment's edges, the live portal endpoints and
     # their Dijkstra rows, bit-equal to a fresh run of the kernel that built
     # them.
+    problems += [f"segment {label} left altered after iteration" for label in sorted(smap.altered)]
     for label, seg in smap.segments.items():
-        if seg.altered:
-            problems.append(f"segment {label} left altered after iteration")
         if seg.ends != smap.segment_portal_nodes(label):
             problems.append(f"segment {label} table ends mismatch its portal nodes")
         if not seg.members <= smap.adj.keys():
@@ -143,13 +138,6 @@ def check_structure(smap) -> list[str]:
 
 def _same_arrays(xs, ys) -> bool:
     return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
-
-
-def _edge_rows(smap, pairs):
-    """(pair, p_a, r_a, p_b, r_b) for each node pair, from one gather per side."""
-    pa, ra = smap.node_index.rows([a for a, _ in pairs])
-    pb, rb = smap.node_index.rows([b for _, b in pairs])
-    return zip(pairs, pa, ra.tolist(), pb, rb.tolist())
 
 
 def check_clearance(smap, grid: OccupancyGrid, all_nodes: bool = False) -> list[str]:

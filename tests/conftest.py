@@ -3,7 +3,6 @@ import pytest
 from hypothesis import settings
 
 from spheremap import FREE, OCCUPIED, BuildParams, OccupancyGrid, SphereMap
-from spheremap.core import Segment
 
 # Property tests draw the same bounded set of examples on every run and keep
 # no example database, so the suite stays reproducible. With 1000 examples
@@ -83,12 +82,9 @@ def segment_like_an_update(smap):
     then portals and caches."""
     for nid in sorted(smap.adj, key=lambda i: (-smap.node_index.row(i)[1], i)):
         if smap.segment_of[nid] is None:
-            label = smap._new_label()
-            smap.segments[label] = Segment(label, {nid}, *smap.node_index.row(nid))
-            smap.segment_of[nid] = label
-            smap._grow_segment(label)
+            smap._grow_segment(smap._new_segment({nid}, *smap.node_index.row(nid)))
     for label in sorted(smap.segments):
-        smap._recompute_portals(label, set())
+        smap._recompute_portals(label)
     for label in sorted(smap.segments):
         smap._rebuild_cache(label)
     return smap

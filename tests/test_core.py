@@ -496,7 +496,7 @@ class TestSegmentation:
             smap.segments[label].members.add(nid)
         assert 3 in smap.adj[0] and 2 in smap.adj[1]
         for label in (1, 0, 1):
-            smap._recompute_portals(label, set())
+            smap._recompute_portals(label)
             portal = smap.portals[(0, 1)]
             assert (portal.a, portal.b) == (0, 3)
 

@@ -60,7 +60,7 @@ def test_structure_digest_is_pinned():
             smap.segment_of[nid] = label
         smap._refresh_bounds(label)
     for label in range(3):
-        smap._recompute_portals(label, set())
+        smap._recompute_portals(label)
     for label in range(3):
         smap._rebuild_cache(label)
     assert len(smap.portals) == 2 and len(digest.portal_paths(smap.segments[1])) == 1

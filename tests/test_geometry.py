@@ -4,22 +4,27 @@ import numpy as np
 import pytest
 
 from spheremap.geometry import (coverage_matrix, covered_fractions,
-                                enclosing_sphere, intersection_radii,
-                                intersection_radius)
+                                enclosing_sphere, intersection_radii)
+from spheremap.spatial import sq_dists
+
+
+def radius_at(d, r1, r2):
+    """The link kernel on one pair of spheres ``d`` apart."""
+    return float(intersection_radii(np.array([d], dtype=float), r1, np.array([r2]))[0])
 
 
 class TestIntersectionRadius:
     def test_unit_spheres_at_unit_distance(self):
         # circumradius of the intersection circle: sqrt(3)/2
-        got = intersection_radius((0, 0, 0), 1.0, (1, 0, 0), 1.0)
+        got = radius_at(1.0, 1.0, 1.0)
         assert got == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
 
     def test_disjoint_and_tangent(self):
-        assert intersection_radius((0, 0, 0), 1.0, (3, 0, 0), 1.0) == 0.0
-        assert intersection_radius((0, 0, 0), 1.0, (2, 0, 0), 1.0) == 0.0
+        assert radius_at(3.0, 1.0, 1.0) == 0.0
+        assert radius_at(2.0, 1.0, 1.0) == 0.0
 
     def test_containment(self):
-        assert intersection_radius((0, 0, 0), 3.0, (0.5, 0, 0), 1.0) == 1.0
+        assert radius_at(0.5, 3.0, 1.0) == 1.0
 
     def test_sampled_boundary_cross_check(self):
         # independent check: max radius of points on both sphere surfaces
@@ -29,32 +34,40 @@ class TestIntersectionRadius:
         # intersection circle lies in the plane at x* along the axis
         x_star = (d * d - r2 * r2 + r1 * r1) / (2 * d)
         expected = math.sqrt(r1 * r1 - x_star * x_star)
-        got = intersection_radius(p1, r1, p2, r2)
+        got = radius_at(d, r1, r2)
         assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_vectorized_matches_scalar(self):
+    def test_matches_the_closed_form(self):
+        # elementwise against the circle's radius from the plane it lies in
         rng = np.random.default_rng(5)
         r1 = 1.2
         r2 = rng.uniform(0.3, 2.0, 64)
         d = rng.uniform(0.0, 4.0, 64)
         got = intersection_radii(d, r1, r2)
         for i in range(64):
-            scalar = intersection_radius((0, 0, 0), r1, (d[i], 0, 0), r2[i])
-            assert got[i] == pytest.approx(scalar, abs=1e-12)
+            if d[i] >= r1 + r2[i]:
+                expected = 0.0
+            elif d[i] <= abs(r1 - r2[i]):
+                expected = min(r1, r2[i])
+            else:
+                x_star = (d[i] * d[i] - r2[i] * r2[i] + r1 * r1) / (2 * d[i])
+                expected = math.sqrt(r1 * r1 - x_star * x_star)
+            assert got[i] == pytest.approx(expected, abs=1e-9)
 
-    def test_symmetric_and_vectorized_bit_exact(self):
+    def test_symmetric_bit_exact(self):
         # portal selection and the validator evaluate pairs in either order
         rng = np.random.default_rng(23)
         r1 = rng.uniform(0.8, 4.0, 2000)
         r2 = rng.uniform(0.8, 4.0, 2000)
         d = rng.uniform(0.0, 8.0, 2000)
-        fwd = intersection_radii(d, r1, r2)
-        np.testing.assert_array_equal(fwd, intersection_radii(d, r2, r1))
-        for i in range(len(d)):
-            p2 = (d[i], 0.0, 0.0)
-            a = intersection_radius((0, 0, 0), r1[i], p2, r2[i])
-            assert a == intersection_radius(p2, r2[i], (0, 0, 0), r1[i])
-            assert a == fwd[i]
+        np.testing.assert_array_equal(intersection_radii(d, r1, r2), intersection_radii(d, r2, r1))
+        # A pair from a cave map whose radius Python's ``** 2`` rounds one ULP
+        # away from the kernel's: the swapped pair keeps the kernel's bits.
+        p1 = np.array([[10.100000381469727, 22.299999237060547, 2.0999999046325684]])
+        p2 = np.array([[8.300000190734863, 21.5, 2.0999999046325684]])
+        r1, r2 = np.array([1.280624508857727]), np.array([1.2649109363555908])
+        fwd = intersection_radii(np.sqrt(sq_dists(p1, p2)), r1, r2)
+        assert fwd.tobytes() == intersection_radii(np.sqrt(sq_dists(p2, p1)), r2, r1).tobytes()
 
 
 def monte_carlo_lens(r1, r2, d, n=200_000, seed=0):
@@ -100,14 +113,16 @@ class TestCoveredFractions:
         assert frac[0] == pytest.approx(mc, abs=3e-3)
 
     def test_matrix_matches_vector(self):
+        # every (i, j) pair of two sphere sets, read as a matrix, row by row
         rng = np.random.default_rng(11)
         r_small = rng.uniform(0.5, 1.5, 8)
         r_big = rng.uniform(0.5, 2.5, 6)
         d = rng.uniform(0.0, 3.0, (8, 6))
-        mat = coverage_matrix(r_small, d, r_big)
-        for i in range(8):
-            row = covered_fractions(r_small[i], d[i], r_big)
-            assert np.array_equal(mat[i], row)
+        i, j = np.indices(d.shape).reshape(2, -1)
+        mat = coverage_matrix(r_small, d[i, j], r_big, pairs=(i, j)).reshape(d.shape)
+        for k in range(8):
+            row = covered_fractions(r_small[k], d[k], r_big)
+            assert np.array_equal(mat[k], row)
 
     def test_chosen_entries_match_the_matrix(self):
         rng = np.random.default_rng(12)
@@ -116,7 +131,11 @@ class TestCoveredFractions:
         d = rng.uniform(0.0, 3.0, (40, 30))
         i, j = np.nonzero(rng.random((40, 30)) < 0.3)
         picked = coverage_matrix(r_small, d[i, j], r_big, pairs=(i, j))
-        assert np.array_equal(picked, coverage_matrix(r_small, d, r_big)[i, j])
+        every = np.indices(d.shape).reshape(2, -1)
+        matrix = coverage_matrix(r_small, d.ravel(), r_big, pairs=every).reshape(d.shape)
+        assert np.array_equal(picked, matrix[i, j])
+        for k, (a, b) in enumerate(zip(i, j)):
+            assert picked[k] == covered_fractions(r_small[a], d[a, b:b + 1], r_big[b:b + 1])[0]
         assert 0 < np.count_nonzero(picked) < len(picked)
 
 

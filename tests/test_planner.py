@@ -10,7 +10,7 @@ from spheremap import (FREE, OCCUPIED, BuildParams, ClearanceField, ObstacleInde
                        Segment, SphereMap, astar_nodes, astar_sphere_graph, check_structure,
                        downsample, evaluate_path, grid_astar, load_map, plan_cached, rrt_star,
                        save_map, transition_cost)
-from spheremap.planner import _attach, _chain_cost, graph_view
+from spheremap.planner import _attach, _chain_cost, _route, graph_view
 from spheremap.voxelgrid import grid_obstacles
 
 from conftest import (box_room, same_tables, segment_like_an_update, segmented_two_rooms,
@@ -130,16 +130,13 @@ def hand_map(chain, segments=None, portals=None):
         ids.append(nid)
     if segments:
         for label, members in segments.items():
-            smap.segments[label] = Segment(label, set(members), np.zeros(3), 0.0,
-                                           altered=False)
+            smap.segments[label] = Segment(label, set(members), np.zeros(3), 0.0)
             for nid in members:
                 smap.segment_of[nid] = label
             smap._refresh_bounds(label)
     if portals:
         for (s1, s2), (a, b) in portals.items():
-            from spheremap.geometry import intersection_radius
-            ir = intersection_radius(*smap.node_index.row(a), *smap.node_index.row(b))
-            smap.portals[(s1, s2)] = Portal(a, b, ir)
+            smap.portals[(s1, s2)] = Portal(a, b, float(smap.link_radii([a], [b])[0]))
     return smap, ids
 
 
@@ -508,7 +505,7 @@ class TestSphereGraphKernel:
         for label, seg in smap.segments.items():
             members = sorted(seg.members)
             for a, b in itertools.product(members[::2], members[::3]):
-                found = astar_nodes(smap, a, b, PARAMS, restrict=label)
+                found = _route(graph_view(smap, seg.members, PARAMS), a, b)
                 old = best_first(adj, {a: 0.0}, b,
                                  distance_to(smap, smap.node_index.row(b)[0], seg.members),
                                  seg.members)
@@ -545,8 +542,8 @@ class TestSphereGraphKernel:
         assert seg.members == {a, b} and len(smap.segments) == 3
         assert smap.segment_portal_nodes(seg.label) == seg.ends == [a]
         assert seg.dist.tolist() == [[0.0, 0.0]]
-        for restrict in (None, seg.label):
-            assert astar_nodes(smap, b, a, PARAMS, restrict) == ([b, a], 0.0)
+        assert astar_nodes(smap, b, a, PARAMS) == ([b, a], 0.0)
+        assert _route(graph_view(smap, seg.members, PARAMS), b, a) == ([b, a], 0.0)
         assert astar_nodes(smap, b, d, PARAMS)[1] == 2 * smap.adj[c][d]
         view = graph_view(smap, {a, b})
         assert view.graph.nnz == 2 and connected_components(view.graph)[0] == 1

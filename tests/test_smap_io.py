@@ -105,9 +105,7 @@ def test_loaded_map_keeps_updating_like_the_original():
 def _one_node_map():
     smap = SphereMap(BuildParams(), seed=0)
     nid = smap._add_node((1.0, 2.0, 3.0), 1.5)
-    label = smap._new_label()
-    smap.segments[label] = Segment(label, {nid}, smap.node_index.row(nid)[0], 1.5)
-    smap.segment_of[nid] = label
+    smap._new_segment({nid}, smap.node_index.row(nid)[0], 1.5)
     return save_map(smap)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spheremap import UNKNOWN, BuildParams, SphereMap, check_clearance, check_structure
+from spheremap import (UNKNOWN, BuildParams, SphereMap, UpdateCube, check_clearance,
+                       check_structure)
 
 from conftest import box_room, segmented_two_rooms
 
@@ -68,3 +69,24 @@ class TestCheckStructure:
         smap._edge_count += 1
         assert (f"edge count {smap.edge_count()} disagrees with {links} adjacency entries"
                 in check_structure(smap))
+
+    def test_reports_a_segment_left_altered(self):
+        _, smap, _, _ = segmented_two_rooms(2.0, seed=1)
+        assert not smap.altered and check_structure(smap) == []
+        label = min(smap.segments)
+        smap._mark_altered(min(smap.segments[label].members))
+        assert check_structure(smap) == [f"segment {label} left altered after iteration"]
+
+    def test_link_rule_agrees_with_the_builder_at_r_min(self):
+        # A pair from a cave map whose intersection radius sits at r_min to
+        # within rounding: the map leaves the edge out, and the validator
+        # prices the pair with the map's own kernel, bit for bit.
+        smap = SphereMap(BuildParams(r_min=0.8061615522470384))
+        for p, r in (((10.100000381469727, 22.299999237060547, 2.0999999046325684),
+                      1.280624508857727),
+                     ((8.300000190734863, 21.5, 2.0999999046325684), 1.2649109363555908)):
+            smap._recompute_edges(smap._add_node(p, r))
+        smap.last_cube = UpdateCube((9.2, 21.9, 2.1), 10.0)
+        problems = check_structure(smap)
+        assert not [p for p in problems
+                    if "missing edge" in p or "violates the intersection rule" in p]
