@@ -4,13 +4,14 @@ The dense layer is an undirected graph of free-space spheres (center, radius =
 nearest-obstacle distance); two spheres are connected when their intersection
 circle radius exceeds ``r_min``. A node is an id: its center and radius live
 only in its ``NodeIndex`` row (``node_index.row`` / ``rows``), its links and
-their step costs (priced by ``_recompute_edges``) in ``adj`` and its segment
-label in ``segment_of``. The sparse layer partitions the nodes into roughly
-convex segments joined by portals; each segment keeps one planning table, a
-CSR view of its edges and the csgraph Dijkstra rows from its portal
-endpoints, so a rebuild reads only the segment's own edges. Every mutation
-adds the labels whose members, links or portals it touched to the map's one
-``altered`` set, and rebuilding a segment's table takes its label out again.
+their step costs in ``adj``, stored from ``_links``, the one link rule, and
+its segment label in ``segment_of``. The sparse layer partitions the nodes
+into roughly convex segments joined by portals, stored from ``_portal_edges``,
+the one portal rule. Each segment keeps one planning table, a CSR view of
+its edges and the csgraph Dijkstra rows from its portal endpoints, so a
+rebuild reads only the segment's own edges. Every mutation adds the labels
+whose members, links or portals it touched to the map's one ``altered``
+set, and rebuilding a segment's table takes its label out again.
 
 One ``update_iteration`` mutates only the cube around the vehicle, in three
 steps: radius recomputation + pruning, expansion by sampling, then
@@ -109,7 +110,6 @@ class Portal:
 
     a: int
     b: int
-    radius: float
 
 
 @dataclass
@@ -216,15 +216,20 @@ class SphereMap:
         self._mark_altered(nid)
         self.mutation_token += 1
 
-    def _recompute_edges(self, nid: int):
-        """Re-derive this node's links (intersection rule) and their costs (one
-        ``transition_cost`` call); return the neighbours' ids, positions, radii, distances."""
+    def _links(self, nid: int):
+        """The one link rule: ids, positions, radii, distances and step costs of
+        the nodes whose intersection circle with this node is wider than ``r_min``."""
         p, r = self.node_index.row(nid)
         ids, pos, aux, d = self.node_index.query(p, r + self.node_index.max_aux())
         keep = (geometry.intersection_radii(d, r, aux) > self.params.r_min) & (ids != nid)
         ids, pos, aux, d = ids[keep], pos[keep], aux[keep], d[keep]
         dl, dz = planner.transition_cost(p, r, pos, aux, self.plan_params)
-        new = dict(zip(ids.tolist(), (dl + dz).tolist()))
+        return ids, pos, aux, d, dl + dz
+
+    def _recompute_edges(self, nid: int):
+        """Store :meth:`_links` in ``adj``; return its ids, positions, radii, distances."""
+        ids, pos, aux, d, cost = self._links(nid)
+        new = dict(zip(ids.tolist(), cost.tolist()))
         old = self.adj[nid]
         for nb in new.keys() ^ old.keys():
             self._mark_altered(nb)
@@ -241,7 +246,7 @@ class SphereMap:
 
     def link_radii(self, a_ids, b_ids) -> np.ndarray:
         """Intersection radius of each node pair (a_ids[k], b_ids[k]), from one
-        gather per side: the bits ``_recompute_edges`` compares with ``r_min``,
+        gather per side: the bits :meth:`_links` compares with ``r_min``,
         as ``sq_dists`` rounds the distance either way round."""
         pa, ra = self.node_index.rows(a_ids)
         pb, rb = self.node_index.rows(b_ids)
@@ -592,30 +597,30 @@ class SphereMap:
         self.altered.add(target)
         self._drop_segment(source)
 
-    def _recompute_portals(self, label: int) -> None:
-        """Widest edge to each adjacent segment, priced by one :meth:`link_radii`
-        call. Ties go to the lowest (a, b), ``a`` in the lower label, so both
-        sides pick the same edge. A changed or dropped portal alters both
-        segments."""
+    def _portal_edges(self, label: int) -> dict[int, tuple[int, int]]:
+        """The one portal rule: {other label: (a, b)}, the widest edge to each
+        adjacent segment, priced by one :meth:`link_radii` call. Ties go to the
+        lowest (a, b), ``a`` in the lower label, so both sides pick the same edge."""
         edges = [(a, b, self.segment_of[b]) for a in sorted(self.segments[label].members)
                  for b in sorted(self.adj[a]) if self.segment_of[b] not in (None, label)]
         radii = self.link_radii([a for a, _, _ in edges], [b for _, b, _ in edges]).tolist()
         best: dict[int, tuple[float, int, int]] = {}
         for (nid, nb, other), ir in zip(edges, radii):
             a, b = (nid, nb) if label < other else (nb, nid)
-            cur = best.get(other)
-            if cur is None or ir > cur[0] or (ir == cur[0] and (a, b) < cur[1:]):
-                best[other] = (ir, a, b)
-        stale = [pair for pair in self.portals if label in pair]
-        for pair in stale:
+            best[other] = min(best.get(other, (math.inf,)), (-ir, a, b))
+        return {other: (a, b) for other, (_, a, b) in best.items()}
+
+    def _recompute_portals(self, label: int) -> None:
+        """Store :meth:`_portal_edges`; a changed or dropped portal alters both segments."""
+        best = self._portal_edges(label)
+        for pair in [pair for pair in self.portals if label in pair]:
             if (pair[0] if pair[1] == label else pair[1]) not in best:
                 del self.portals[pair]
                 self.altered.update(pair)
-        for other, (ir, a, b) in best.items():
+        for other, (a, b) in best.items():
             pair = (label, other) if label < other else (other, label)
-            old = self.portals.get(pair)
-            if old is None or (old.a, old.b) != (a, b) or old.radius != ir:
-                self.portals[pair] = Portal(a, b, ir)
+            if self.portals.get(pair) != (portal := Portal(a, b)):
+                self.portals[pair] = portal
                 self.altered.update(pair)
 
     def segment_portal_nodes(self, label: int) -> list[int]:

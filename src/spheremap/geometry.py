@@ -1,7 +1,7 @@
 """Sphere-pair geometry used by the graph edge rule and redundancy pruning.
 
-The link rule has one kernel, :func:`intersection_radii`: edges, portals and
-the validator price sphere pairs with it, fed by ``SphereMap.link_radii``.
+The link rule has one kernel, :func:`intersection_radii`: ``SphereMap._links``
+(edges) and ``link_radii`` (portals) price sphere pairs with it.
 """
 
 from __future__ import annotations

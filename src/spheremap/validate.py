@@ -3,11 +3,14 @@
 Used by tests and the benchmark harness at mission checkpoints. Every check
 returns human-readable violation strings; an empty list means the invariant
 suite passed. Checks are exact (no tolerances) except the clearance check,
-which allows the configured radius tolerance. The link rule, edge costs,
-planning tables and coverage are recomputed with the kernels that built the
-map (``SphereMap.link_radii``, ``transition_cost``, ``_portal_tables``,
-``_find_coverers``), so a reported problem is never a rounding disagreement
-between two copies of one formula.
+which allows the configured radius tolerance. Each rule is recomputed with
+the kernel that built the map, so a reported problem is never a rounding
+disagreement between two copies of one formula: every node's links and step
+costs with ``SphereMap._links``, so a missing edge is found anywhere in the
+map; every segment's portals with ``_portal_edges``, from both sides of each
+pair; the planning tables with ``_portal_tables``; and, inside the last
+update cube only, where an update leaves no node redundant, coverage with
+``_find_coverers``.
 """
 
 from __future__ import annotations
@@ -15,16 +18,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .planner import graph_view, transition_cost
+from .planner import graph_view
 from .spatial import ObstacleIndex
 from .voxelgrid import OccupancyGrid, grid_obstacles
 
 
 def check_structure(smap) -> list[str]:
-    """Edge rule and costs, segment partition/connectivity, portals, tables,
-    redundancy."""
+    """Edges and costs against the link rule, segment partition/connectivity,
+    portals against the portal rule, tables, redundancy."""
     problems: list[str] = []
-    r_min = smap.params.r_min
     label_of = smap.segment_of
 
     for a, nbrs in smap.adj.items():
@@ -40,27 +42,25 @@ def check_structure(smap) -> list[str]:
         problems.append(f"edge count {smap.edge_count()} disagrees with {links} adjacency entries")
 
     for nid, r in zip(smap.adj, smap.node_index.rows(smap.adj)[1].tolist()):
-        if r < r_min:
+        if r < smap.params.r_min:
             problems.append(f"node {nid} radius {r} below r_min")
 
-    edges = list(smap.edges())
-    a_ids, b_ids = [a for a, _ in edges], [b for _, b in edges]
-    link = dict(zip(edges, smap.link_radii(a_ids, b_ids).tolist()))
-    problems += [f"edge ({a}, {b}) violates the intersection rule"
-                 for (a, b), ir in link.items() if not ir > r_min]
-    dl, dz = transition_cost(*smap.node_index.rows(a_ids), *smap.node_index.rows(b_ids),
-                             smap.plan_params)
-    problems += [f"edge ({a}, {b}) cost differs from recomputation"
-                 for (a, b), w in zip(edges, (dl + dz).tolist()) if smap.adj[a][b] != w]
-
-    cube = smap.last_cube
-    if cube is not None:
-        ids = np.array(sorted(smap.nodes_in_cube(cube)), dtype=np.int64)
-        i, j = np.triu_indices(len(ids), 1)
-        linked = smap.link_radii(ids[i], ids[j]) > r_min
-        problems += [f"missing edge ({a}, {b}) inside update cube"
-                     for a, b in zip(ids[i[linked]].tolist(), ids[j[linked]].tolist())
-                     if b not in smap.adj[a]]
+    # Each edge problem once, under (min, max), whichever end found it first.
+    wrong: dict[tuple[int, int], str] = {}
+    for a, nbrs in smap.adj.items():
+        ids, *_, cost = smap._links(a)
+        built = dict(zip(ids.tolist(), cost.tolist()))
+        if built == nbrs:
+            continue
+        for b in nbrs.keys() | built.keys():
+            edge = (min(a, b), max(a, b))
+            if b not in built:
+                wrong.setdefault(edge, "edge {} violates the intersection rule")
+            elif b not in nbrs:
+                wrong.setdefault(edge, "missing edge {}")
+            elif nbrs[b] != built[b]:
+                wrong.setdefault(edge, "edge {} cost differs from recomputation")
+    problems += [wrong[edge].format(edge) for edge in sorted(wrong)]
 
     assigned: set[int] = set()
     for label, seg in smap.segments.items():
@@ -84,32 +84,24 @@ def check_structure(smap) -> list[str]:
         elif nid not in assigned:
             problems.append(f"node {nid} missing from its segment member set")
 
-    # Portals: one per adjacent pair, endpoints consistent, radius maximal.
-    best: dict[tuple[int, int], float] = {}
-    for (a, b), ir in link.items():
-        sa, sb = label_of[a], label_of[b]
-        if sa is None or sb is None or sa == sb:
-            continue
-        pair = (sa, sb) if sa < sb else (sb, sa)
-        if ir > best.get(pair, -1.0):
-            best[pair] = ir
-    for pair, portal in smap.portals.items():
-        if pair not in best:
-            problems.append(f"portal {pair} has no inter-segment edge")
-            continue
-        if portal.a not in smap.node_index or portal.b not in smap.node_index:
-            problems.append(f"portal {pair} references dead nodes")
-            continue
-        if label_of[portal.a] != pair[0] or label_of[portal.b] != pair[1]:
-            problems.append(f"portal {pair} endpoints in wrong segments")
-        ir = link.get((min(portal.a, portal.b), max(portal.a, portal.b)))
-        if ir is None:
-            problems.append(f"portal {pair} endpoints are not connected")
-        elif ir < best[pair]:
-            problems.append(f"portal {pair} is not maximal ({ir} < {best[pair]})")
-    for pair in best:
-        if pair not in smap.portals:
+    # Portals: the rule's edge for every adjacent pair, the same from both sides.
+    rule: dict[tuple[int, int], tuple[int, int]] = {}
+    for label in sorted(smap.segments):
+        if not smap.segments[label].members <= smap.adj.keys():
+            continue  # dead members, reported above
+        for other, edge in smap._portal_edges(label).items():
+            pair = (min(label, other), max(label, other))
+            if rule.setdefault(pair, edge) != edge:
+                problems.append(f"segments {pair} pick different portals")
+    for pair in sorted(smap.portals.keys() | rule.keys()):
+        portal = smap.portals.get(pair)
+        if portal is None:
             problems.append(f"adjacent segments {pair} lack a portal")
+        elif pair not in rule:
+            problems.append(f"portal {pair} has no inter-segment edge")
+        elif (portal.a, portal.b) != rule[pair]:
+            problems.append(f"portal {pair} on ({portal.a}, {portal.b}), not on the "
+                            f"rule's edge {rule[pair]}")
 
     # Tables: a view of the segment's edges, the live portal endpoints and
     # their Dijkstra rows, bit-equal to a fresh run of the kernel that built
@@ -128,6 +120,7 @@ def check_structure(smap) -> list[str]:
         if not _same_arrays((seg.dist, seg.pred), (dist, pred)):
             problems.append(f"table {label} differs from recomputation")
 
+    cube = smap.last_cube
     if cube is not None:
         ids = sorted(smap.nodes_in_cube(cube))
         coverers, _ = smap._find_coverers(*smap.node_index.rows(ids), strict=True)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -88,6 +90,19 @@ def segment_like_an_update(smap):
     for label in sorted(smap.segments):
         smap._rebuild_cache(label)
     return smap
+
+
+def lattice_map(shape=(6, 5, 2)):
+    """Unit spheres on a 1 m lattice. Each links its face neighbours
+    (intersection radius 0.866 > r_min) but no diagonal one (0.707), and
+    every edge costs exactly 1 + 7 * (2 - 1)^2 = 8, so equal-cost paths
+    abound and every path sum is exact."""
+    smap = SphereMap(BuildParams(r_exp=2.5, r_merge=5.0))
+    for p in itertools.product(*map(range, shape)):
+        smap._add_node(np.array(p, dtype=float), 1.0)
+    for nid in sorted(smap.adj):
+        smap._recompute_edges(nid)
+    return segment_like_an_update(smap)
 
 
 def same_tables(a, b):

@@ -1,8 +1,10 @@
 """Independent reference implementations used to certify planner outputs.
 
 Deliberately simple and separate from the package internals: uniform-cost
-search with its own cost arithmetic, a random sphere-map generator, and
-brute-force coverage and redundancy oracles. Two exceptions:
+search with its own cost arithmetic, a random sphere-map generator,
+brute-force coverage and redundancy oracles, and all-pairs link and global
+portal scans, which price pairs with ``SphereMap.link_radii`` but prune and
+rank on their own. Two exceptions:
 ``graph_costs`` and ``best_first`` keep the planner's earlier dict-of-lists
 edge-cost table and Python heap search, the reference its csgraph views must
 match bit for bit; ``plan_cached_two_dijkstra`` keeps an earlier cached
@@ -123,6 +125,38 @@ def random_sphere_map(seed, max_nodes=50, box=20.0):
     start = pa + rng.uniform(-0.4, 0.4, 3) * ra
     goal = pb + rng.uniform(-0.4, 0.4, 3) * rb
     return smap, start, goal
+
+
+def all_pairs_links(smap):
+    """{node: set of linked nodes}: every node pair priced by ``link_radii``
+    and linked when wider than r_min, with no ``NodeIndex.query`` radius or
+    ``max_aux`` pruning."""
+    ids = np.array(sorted(smap.adj), dtype=np.int64)
+    i, j = np.triu_indices(len(ids), 1)
+    linked = smap.link_radii(ids[i], ids[j]) > smap.params.r_min
+    out = {nid: set() for nid in ids.tolist()}
+    for a, b in zip(ids[i[linked]].tolist(), ids[j[linked]].tolist()):
+        out[a].add(b)
+        out[b].add(a)
+    return out
+
+
+def widest_portals(smap):
+    """{(s1, s2): (a, b)} for segment labels s1 < s2, a in s1: every
+    inter-segment edge scanned once, over the whole map, keeping the widest
+    per segment pair and the lowest (a, b) on a tie."""
+    edges = list(smap.edges())
+    radii = smap.link_radii([a for a, _ in edges], [b for _, b in edges]).tolist()
+    best = {}
+    for (x, y), ir in zip(edges, radii):
+        sx, sy = smap.segment_of[x], smap.segment_of[y]
+        if sx is None or sy is None or sx == sy:
+            continue
+        (s1, a), (s2, b) = sorted([(sx, x), (sy, y)])
+        cur = best.get((s1, s2))
+        if cur is None or ir > cur[0] or (ir == cur[0] and (a, b) < cur[1]):
+            best[(s1, s2)] = (ir, (a, b))
+    return {pair: edge for pair, (_, edge) in best.items()}
 
 
 def _attach_oracle(smap, p):

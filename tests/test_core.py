@@ -11,8 +11,10 @@ from spheremap import (FREE, OCCUPIED, UNKNOWN, BuildParams, ObstacleIndex, Occu
 from spheremap.geometry import covered_fractions
 from spheremap.voxelgrid import frontier_points, surface_points
 
-from conftest import box_room, same_tables, spherical_cavity, two_rooms_with_corridor
-from oracles import expand_oracle, nearest_coverer
+from conftest import (box_room, lattice_map, same_tables, segment_like_an_update,
+                      segmented_two_rooms, spherical_cavity, two_rooms_with_corridor)
+from oracles import (all_pairs_links, expand_oracle, nearest_coverer, random_sphere_map,
+                     widest_portals)
 
 
 def make_map(**kwargs):
@@ -71,6 +73,25 @@ class TestEdgeRule:
         # overlapping but shallow: intersection radius below r_min
         d = add_node(smap, (0, 0, 1.9), 1.0)
         assert d not in smap.adj[a]
+
+
+RULE_MAPS = {
+    "two-rooms-lattice": lambda: segmented_two_rooms(2.0)[1],
+    "two-rooms-rays": lambda: segmented_two_rooms(2.0, seed=1)[1],
+    "lattice": lattice_map,
+    **{f"random-{seed}": lambda seed=seed: segment_like_an_update(random_sphere_map(seed)[0])
+       for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_MAPS))
+def test_links_and_portals_match_the_all_pairs_oracles(name):
+    """The builder's link and portal rules against every node pair and a
+    global scan of the inter-segment edges."""
+    smap = RULE_MAPS[name]()
+    assert smap.portals
+    assert {nid: set(nbrs) for nid, nbrs in smap.adj.items()} == all_pairs_links(smap)
+    assert {pair: (p.a, p.b) for pair, p in smap.portals.items()} == widest_portals(smap)
 
 
 class TestIsRedundant:
@@ -448,7 +469,7 @@ class TestUpdateIteration:
         assert sorted(m1.portals) == sorted(m2.portals)
         for pair in m1.portals:
             pa, pb = m1.portals[pair], m2.portals[pair]
-            assert (pa.a, pa.b, pa.radius) == (pb.a, pb.b, pb.radius)
+            assert (pa.a, pa.b) == (pb.a, pb.b)
         for label in m1.segments:
             assert same_tables(m1.segments[label], m2.segments[label])
 

@@ -13,8 +13,8 @@ from spheremap import (FREE, OCCUPIED, BuildParams, ClearanceField, ObstacleInde
 from spheremap.planner import _attach, _chain_cost, _route, graph_view
 from spheremap.voxelgrid import grid_obstacles
 
-from conftest import (box_room, same_tables, segment_like_an_update, segmented_two_rooms,
-                      two_rooms_with_corridor, wall_gap_room)
+from conftest import (box_room, lattice_map, same_tables, segment_like_an_update,
+                      segmented_two_rooms, two_rooms_with_corridor, wall_gap_room)
 from oracles import (_attach_oracle, best_first, distance_to, graph_costs, plan_cached_two_dijkstra,
                      random_sphere_map, ucs_node_cost, ucs_optimal)
 
@@ -136,7 +136,7 @@ def hand_map(chain, segments=None, portals=None):
             smap._refresh_bounds(label)
     if portals:
         for (s1, s2), (a, b) in portals.items():
-            smap.portals[(s1, s2)] = Portal(a, b, float(smap.link_radii([a], [b])[0]))
+            smap.portals[(s1, s2)] = Portal(a, b)
     return smap, ids
 
 
@@ -455,19 +455,6 @@ class TestPortalTables:
         for a, b in itertools.combinations(query_points(smap), 2):
             assert same_plans(plan_cached(smap, a, b, smap.plan_params),
                               plan_cached(loaded, a, b, smap.plan_params))
-
-
-def lattice_map(shape=(6, 5, 2)):
-    """Unit spheres on a 1 m lattice. Each links its face neighbours
-    (intersection radius 0.866 > r_min) but no diagonal one (0.707), and
-    every edge costs exactly 1 + 7 * (2 - 1)^2 = 8, so equal-cost paths
-    abound and every path sum is exact."""
-    smap = SphereMap(BuildParams(r_exp=2.5, r_merge=5.0))
-    for p in itertools.product(*map(range, shape)):
-        smap._add_node(np.array(p, dtype=float), 1.0)
-    for nid in sorted(smap.adj):
-        smap._recompute_edges(nid)
-    return segment_like_an_update(smap)
 
 
 @pytest.fixture(params=["random-0", "random-1", "random-2", "random-3", "lattice"])

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spheremap import (UNKNOWN, BuildParams, SphereMap, UpdateCube, check_clearance,
                        check_structure)
 
-from conftest import box_room, segmented_two_rooms
+from conftest import box_room, lattice_map, segmented_two_rooms
 
 
 class TestCheckClearance:
@@ -90,3 +92,36 @@ class TestCheckStructure:
         problems = check_structure(smap)
         assert not [p for p in problems
                     if "missing edge" in p or "violates the intersection rule" in p]
+
+    def test_reports_a_portal_on_the_wrong_one_of_two_equally_wide_edges(self):
+        # Every lattice edge is 0.866 wide, so the tie rule alone places each
+        # portal: on the lowest (a, b), a in the lower label.
+        smap = lattice_map()
+        assert check_structure(smap) == []
+        label_of = smap.segment_of
+        for x, y in sorted(smap.edges()):
+            (s1, a), (s2, b) = sorted([(label_of[x], x), (label_of[y], y)])
+            if s1 != s2 and (smap.portals[(s1, s2)].a, smap.portals[(s1, s2)].b) != (a, b):
+                break
+        old = smap.portals[(s1, s2)]
+        smap.portals[(s1, s2)] = dataclasses.replace(old, a=a, b=b)
+        for label in (s1, s2):
+            smap._rebuild_cache(label)
+        assert check_structure(smap) == [
+            f"portal {(s1, s2)} on ({a}, {b}), not on the rule's edge ({old.a}, {old.b})"]
+
+    def test_reports_a_missing_edge_outside_any_update_cube(self):
+        smap = lattice_map()
+        assert smap.last_cube is None and check_structure(smap) == []
+
+        def on_a_square(a, b):
+            # A 4-cycle inside one segment keeps it connected without (a, b).
+            seg = smap.segments[smap.segment_of[a]].members
+            return b in seg and any(d in smap.adj[c] for c in smap.adj[a].keys() & seg - {b}
+                                    for d in smap.adj[b].keys() & seg - {a})
+
+        a, b = next(edge for edge in sorted(smap.edges()) if on_a_square(*edge))
+        del smap.adj[a][b], smap.adj[b][a]
+        smap._edge_count -= 1
+        smap._rebuild_cache(smap.segment_of[a])
+        assert check_structure(smap) == [f"missing edge ({a}, {b})"]

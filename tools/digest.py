@@ -53,7 +53,8 @@ def structure_digest(smap) -> str:
                        sorted(portal_paths(seg).items()))).encode())
     for pair in sorted(smap.portals):
         portal = smap.portals[pair]
-        h.update(repr((pair, portal.a, portal.b, portal.radius)).encode())
+        radius = float(smap.link_radii([portal.a], [portal.b])[0])
+        h.update(repr((pair, portal.a, portal.b, radius)).encode())
     return h.hexdigest()
 
 
